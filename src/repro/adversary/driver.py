@@ -103,7 +103,10 @@ class ExecutionDriver:
         self.manager = manager
         #: The occupancy backend actually in use ("reference" or
         #: "bitmap") — explicit argument wins, then ``REPRO_KERNEL``,
-        #: then the reference path.  Recorded in run manifests.
+        #: then "bitmap" when numpy imports, else "reference".
+        #: Recorded in run manifests and part of result-cache keys, so
+        #: entries cached under "reference" are not reused by a
+        #: "bitmap" run (the digests agree; only the key differs).
         self.kernel_name = resolve_kernel(kernel)
         self.heap = SimHeap(kernel=make_kernel(self.kernel_name))
         #: The telemetry bus, or None (the null-sink fast path: every

@@ -27,10 +27,6 @@ def evacuation_cost(heap: SimHeap, start: int, size: int) -> int:
     """Live words inside ``[start, start + size)``."""
     if start < 0 or size <= 0:
         raise ValueError("need start >= 0 and size > 0")
-    if heap.kernel is not None:
-        from ..mm.fastpath import range_live_words
-
-        return range_live_words(heap, start, start + size)
     return heap.occupied.overlap_words(start, start + size)
 
 

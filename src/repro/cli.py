@@ -120,7 +120,8 @@ def _add_kernel_flag(parser: argparse.ArgumentParser) -> None:
         "--kernel", choices=KERNEL_NAMES, default=None,
         help="occupancy backend: 'bitmap' = vectorized numpy kernel, "
              "'reference' = pure-Python interval set (default: the "
-             f"{KERNEL_ENV_VAR} environment variable, else reference)",
+             f"{KERNEL_ENV_VAR} environment variable, else bitmap when "
+             "numpy is installed, else reference)",
     )
 
 

@@ -138,8 +138,8 @@ class ChunkPartition:
         """Live words per chunk index, for every touched chunk, in one
         sweep over the occupied intervals (the bulk version of
         :meth:`occupancy` — managers scanning for sparse chunks need all
-        of them at once).  With a bitmap kernel attached the sweep runs
-        vectorized over the packed occupancy instead; the resulting
+        of them at once).  With a kernel attached the sweep runs
+        vectorized over the interval tables instead; the resulting
         dict (keys ascending, touched chunks only) is identical.
         """
         size = self.chunk_size

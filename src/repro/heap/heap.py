@@ -31,23 +31,24 @@ __all__ = ["SimHeap"]
 class SimHeap:
     """An unbounded word-addressed heap with an occupancy index.
 
-    ``kernel`` optionally attaches a vectorized occupancy sidecar (see
-    :mod:`repro.heap.kernel`): the heap mirrors every mutation into the
-    kernel's journal so bulk queries can run over the packed bitmap.
-    The :class:`IntervalSet` remains authoritative either way — the
-    kernel never changes an answer, only how fast bulk answers arrive.
+    ``kernel`` optionally attaches vectorized bulk occupancy queries
+    (see :mod:`repro.heap.kernel`).  The kernel reads this heap's
+    :class:`IntervalSet` directly, so mutations do no work for it and
+    the interval set stays the only occupancy state: the kernel never
+    changes an answer, only how fast bulk answers arrive.
     """
 
     def __init__(self, kernel: "HeapKernel | None" = None) -> None:
         self._occupied = IntervalSet()
         self._table = ObjectTable()
         self._kernel = kernel
-        # Address-sorted live-object index, maintained only under a
-        # kernel backend (the reference path must not change cost or
-        # behaviour): lets :meth:`objects_in_range` answer victim scans
-        # in O(hits + log live) instead of O(live).  Built lazily on
-        # the first query, so managers that never enumerate victims
-        # (the non-compacting family) never pay the per-mutation upkeep.
+        if kernel is not None:
+            kernel.attach(self._occupied)
+        # Address-sorted live-object index: lets :meth:`objects_in_range`
+        # answer victim scans in O(hits + log live) instead of O(live).
+        # Built lazily on the first query, so managers that never
+        # enumerate victims (the non-compacting family) never pay the
+        # per-mutation upkeep.
         self._by_address: dict[int, HeapObject] = {}
         self._address_order: list[int] = []
         self._address_index_ready = False
@@ -118,20 +119,11 @@ class SimHeap:
     def objects_in_range(self, start: int, end: int) -> list[HeapObject]:
         """Live objects intersecting ``[start, end)``, ascending address.
 
-        Under a kernel backend this answers from the address-sorted index
-        in O(hits + log live); on the reference backend it falls back to
-        a live-table scan (same result — live objects are disjoint, so
-        the address order is total).
+        Answered from the address-sorted index in O(hits + log live).
+        Live objects are disjoint, so the address order is total.
         """
         if end <= start:
             return []
-        if self._kernel is None:
-            hits = [
-                obj for obj in self._table.live_objects()
-                if obj.overlaps_range(start, end)
-            ]
-            hits.sort(key=lambda obj: obj.address)
-            return hits
         if not self._address_index_ready:
             self._by_address = {
                 obj.address: obj for obj in self._table.live_objects()
@@ -166,11 +158,9 @@ class SimHeap:
             raise OverlapError(str(exc)) from None
         self._seq += 1
         obj = self._table.create(address, size, alloc_seq=self._seq)
-        if self._kernel is not None:
-            self._kernel.record_add(address, address + size)
-            if self._address_index_ready:
-                self._by_address[address] = obj
-                insort(self._address_order, address)
+        if self._address_index_ready:
+            self._by_address[address] = obj
+            insort(self._address_order, address)
         self._total_allocated += size
         self._high_water = max(self._high_water, obj.end)
         return obj
@@ -180,12 +170,10 @@ class SimHeap:
         self._seq += 1
         obj = self._table.mark_freed(object_id, free_seq=self._seq)
         self._occupied.remove(obj.address, obj.end)
-        if self._kernel is not None:
-            self._kernel.record_remove(obj.address, obj.end)
-            if self._address_index_ready:
-                del self._by_address[obj.address]
-                order = self._address_order
-                order.pop(bisect_left(order, obj.address))
+        if self._address_index_ready:
+            del self._by_address[obj.address]
+            order = self._address_order
+            order.pop(bisect_left(order, obj.address))
         self._total_freed += obj.size
         return obj
 
@@ -208,15 +196,12 @@ class SimHeap:
             # Roll back so the heap stays consistent for the caller.
             self._occupied.add(obj.address, obj.end)
             raise OverlapError(str(exc)) from None
-        if self._kernel is not None:
-            self._kernel.record_remove(obj.address, obj.end)
-            self._kernel.record_add(new_address, new_address + obj.size)
-            if self._address_index_ready:
-                del self._by_address[obj.address]
-                order = self._address_order
-                order.pop(bisect_left(order, obj.address))
-                self._by_address[new_address] = obj
-                insort(order, new_address)
+        if self._address_index_ready:
+            del self._by_address[obj.address]
+            order = self._address_order
+            order.pop(bisect_left(order, obj.address))
+            self._by_address[new_address] = obj
+            insort(order, new_address)
         self._seq += 1
         self._table.record_move(object_id, new_address)
         self._total_moved += obj.size
@@ -243,16 +228,12 @@ class SimHeap:
             "high-water mark below live span"
         )
         self._occupied.check_invariants()
-        if self._kernel is not None:
-            if self._address_index_ready:
-                expected = sorted(
-                    obj.address for obj in self._table.live_objects()
-                )
-                assert self._address_order == expected, \
-                    "address index drifted"
-                assert all(
-                    self._by_address[addr].address == addr
-                    for addr in self._address_order
-                ), "address map drifted"
-            if hasattr(self._kernel, "check_consistency"):
-                self._kernel.check_consistency(iter(self._occupied))
+        if self._address_index_ready:
+            expected = sorted(
+                obj.address for obj in self._table.live_objects()
+            )
+            assert self._address_order == expected, "address index drifted"
+            assert all(
+                self._by_address[addr].address == addr
+                for addr in self._address_order
+            ), "address map drifted"

@@ -59,7 +59,7 @@ class IntervalSet:
     def __init__(self, intervals: Iterable[tuple[int, int]] = ()) -> None:
         # Parallel sorted coordinate tables.  Typed ``array('q')`` rather
         # than lists: same bisect/insert/del algorithmics, but the raw
-        # int64 storage means the vectorized fastpath can lift the whole
+        # int64 storage means the occupancy kernel can lift the whole
         # table into numpy through the buffer protocol (one C memcpy)
         # instead of boxing every element.
         self._starts: array = array("q")
@@ -131,12 +131,13 @@ class IntervalSet:
     def interval_lists(self) -> tuple[array, array]:
         """Sorted ``(starts, ends)`` coordinate tables, as ``array('q')``.
 
-        Exposed for bulk consumers (the vectorized fastpath) that want
-        to lift the whole interval table into numpy through the buffer
+        Exposed for bulk consumers (the occupancy kernel) that want to
+        lift the whole interval table into numpy through the buffer
         protocol instead of iterating interval by interval.  The typed
         arrays are snapshot *copies* (one C memcpy each — still far
-        cheaper than boxing every element), so callers can hold them
-        across mutations without desynchronizing the index.
+        cheaper than boxing every element), so callers can hold them, or
+        numpy views of them, across mutations: a view of the live table
+        would also block it from resizing.
         """
         return self._starts[:], self._ends[:]
 

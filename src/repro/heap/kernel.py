@@ -1,41 +1,48 @@
-"""The vectorized bitmap occupancy kernel (opt-in heap backend).
+"""Vectorized occupancy queries over the interval set (the default backend).
 
-The reference simulator answers every occupancy question from
+The simulator answers every occupancy question from
 :class:`~repro.heap.intervals.IntervalSet` — exact, pure Python, and
 the right authority for placement search (the gap index already makes
 those O(log k)).  What stays expensive in pure Python are the *bulk*
 questions the compacting managers ask: "how many live words in each of
 these thousands of candidate windows?", "what is every chunk's
 occupancy?", "which gap survives clipping against the region being
-evacuated?".  Mesh and Nofl answer exactly these with bitmap-over-words
-occupancy; :class:`BitmapKernel` is that representation — one ``uint64``
-word per 64 heap words — driven by numpy so a whole candidate set is
-costed in a handful of array operations.
+evacuated?".  Mesh and Nofl answer exactly these with bulk occupancy
+operations; :class:`BitmapKernel` answers them with numpy, so a whole
+candidate set is costed in a handful of array operations.
 
-**The sidecar contract.**  The kernel never replaces the interval set;
-it shadows it.  :class:`~repro.heap.heap.SimHeap` appends every
-mutation to the kernel's journal (O(1) per place/free/move — two ints
-and an opcode), and the kernel folds the journal into the packed bitmap
-lazily, on the first vectorized query (:meth:`BitmapKernel.flush`).
-Between queries the bridge costs one list append per heap mutation, so
-runs that never ask a bulk question pay essentially nothing.  Because
-`IntervalSet`/`GapIndex` stay authoritative for placement search,
+**No shadow state.**  The kernel holds nothing but a reference to its
+heap's interval set.  Each bulk query lifts the sorted ``(starts,
+ends)`` coordinate tables into int64 arrays through
+:meth:`IntervalSet.interval_lists` (one memcpy each) and reduces to
+prefix sums of interval lengths plus ``np.searchsorted``: the live
+words below a point ``p`` are the lengths of every interval starting at
+or below ``p``, minus the part of the last such interval that lies
+above ``p``.  Heap mutations never touch the kernel, so a run that never
+asks a bulk question pays nothing for it, in time or in memory.  The
+interval set and its gap index stay the only occupancy state, so
 ``SearchStats``, ``max_gap_hint`` and the budget ledger's exact integer
-arithmetic are untouched by construction — the kernel only accelerates
+arithmetic are untouched by construction; the kernel only accelerates
 queries whose *answers* are proven identical (see
 ``tests/heap/test_kernel.py`` and the digest-parity matrix in
 ``tests/check/test_kernel_parity.py``).
 
-Backend selection: pass ``--kernel bitmap|reference`` to the CLI, set
-``REPRO_KERNEL``, or hand ``SimHeap(kernel=...)`` a kernel instance
-directly.  The reference backend has **no** numpy dependency — this
-module imports (and the whole suite runs) without numpy installed.
+Backend selection: an explicit ``kernel=`` (``--kernel`` on the CLI),
+then ``REPRO_KERNEL``, then ``bitmap`` when numpy imports and
+``reference`` otherwise; or hand ``SimHeap(kernel=...)`` a kernel
+instance directly.  The backend name is part of every result-cache key,
+so entries written by a run that resolved to ``reference`` (any run
+without numpy, and default runs from before ``bitmap`` became the
+default) are not reused by a ``bitmap`` run; their digests are
+identical, only the key differs.  The reference backend has **no**
+numpy dependency — this module imports (and the whole suite runs)
+without numpy installed.
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Iterator, Protocol
+from typing import TYPE_CHECKING, Protocol
 
 try:  # numpy is optional: the reference backend must run without it.
     import numpy as _np
@@ -44,6 +51,8 @@ except ImportError:  # pragma: no cover - exercised by the numpy-free CI job
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
+
+    from .intervals import IntervalSet
 
 __all__ = [
     "HeapKernel",
@@ -61,20 +70,6 @@ KERNEL_ENV_VAR = "REPRO_KERNEL"
 #: The valid backend names, in CLI listing order.
 KERNEL_NAMES = ("reference", "bitmap")
 
-_OP_ADD = 1
-_OP_REMOVE = 0
-
-#: All 64 bits set (the value of a fully occupied bitmap word).
-_FULL_WORD = (1 << 64) - 1
-
-#: ``_LOW_MASKS[k]`` = the low ``k`` bits set.  A 64-entry gather is
-#: cheaper than recomputing ``(1 << k) - 1`` elementwise on every
-#: coverage query (three vector passes collapse into one).
-_LOW_MASKS = (
-    _np.array([(1 << k) - 1 for k in range(64)], dtype=_np.uint64)
-    if _np is not None else None
-)
-
 
 def numpy_available() -> bool:
     """Whether the bitmap backend can be constructed in this process."""
@@ -82,8 +77,10 @@ def numpy_available() -> bool:
 
 
 def resolve_kernel(name: str | None = None) -> str:
-    """The effective backend name: explicit > ``REPRO_KERNEL`` > reference.
+    """The effective backend name: explicit > ``REPRO_KERNEL`` > numpy.
 
+    Without an explicit name or ``REPRO_KERNEL``, the backend is
+    ``bitmap`` when numpy is importable and ``reference`` otherwise.
     Raises ``ValueError`` on an unknown name (from either source), so a
     typo in the environment fails loudly instead of silently running
     the other backend.
@@ -97,7 +94,9 @@ def resolve_kernel(name: str | None = None) -> str:
     lacks such a declaration.
     """
     if name is None:
-        name = os.environ.get(KERNEL_ENV_VAR) or "reference"
+        name = os.environ.get(KERNEL_ENV_VAR) or (
+            "bitmap" if _np is not None else "reference"
+        )
     if name not in KERNEL_NAMES:
         known = ", ".join(KERNEL_NAMES)
         raise ValueError(f"unknown heap kernel {name!r}; known: {known}")
@@ -107,11 +106,11 @@ def resolve_kernel(name: str | None = None) -> str:
 def make_kernel(name: str | None = None) -> "HeapKernel | None":
     """Build the kernel instance for a resolved backend name.
 
-    ``None`` (the reference backend) means "no sidecar": the heap runs
-    exactly the historical pure-Python path.  Requesting ``bitmap``
-    without numpy installed raises with an actionable message rather
-    than degrading silently — digests are backend-identical, but a user
-    who asked for the fast backend should not quietly not get it.
+    ``None`` (the reference backend) means "no kernel": the heap answers
+    every query in pure Python.  Requesting ``bitmap`` without numpy
+    installed raises with an actionable message rather than degrading
+    silently — digests are backend-identical, but a user who asked for
+    the fast backend should not quietly not get it.
     """
     resolved = resolve_kernel(name)
     if resolved == "reference":
@@ -125,281 +124,120 @@ def make_kernel(name: str | None = None) -> "HeapKernel | None":
 
 
 class HeapKernel(Protocol):
-    """The sidecar interface :class:`~repro.heap.heap.SimHeap` drives.
+    """What :class:`~repro.heap.heap.SimHeap` needs of a kernel.
 
-    Mutation hooks must be O(1); queries may (and do) batch-apply the
-    journal first.  Implementations must answer every query with values
-    *identical* to the pure-Python reference computation — the
-    differential suites and the replay digest matrix enforce this.
+    The heap attaches its interval set once, at construction, and never
+    calls the kernel again.  Implementations must answer every query
+    with values *identical* to the pure-Python reference computation —
+    the differential suites and the replay digest matrix enforce this.
     """
 
     name: str
 
-    def record_add(self, start: int, end: int) -> None:
-        """The heap covered ``[start, end)`` (place, or move's re-add)."""
-        ...
-
-    def record_remove(self, start: int, end: int) -> None:
-        """The heap uncovered ``[start, end)`` (free, or move's vacate)."""
+    def attach(self, intervals: "IntervalSet") -> None:
+        """Answer every later query from ``intervals``."""
         ...
 
 
 class BitmapKernel:
-    """Packed ``uint64`` occupancy bitmap with an O(1)-amortized journal.
+    """Bulk occupancy queries over one interval set's coordinate tables.
 
-    Representation: bit ``i`` of ``words[i >> 6]`` (little-endian bit
-    order within the word) is 1 iff heap word ``i`` is live.  Alongside
-    the bitmap the kernel keeps the per-word popcount array, refreshed
-    only for journal-touched words, so range popcounts are one prefix
-    sum plus two partial-word corrections.
+    It keeps no bitmap; the backend name ``bitmap`` stays because run
+    manifests and result-cache keys record it.
     """
 
     name = "bitmap"
 
-    __slots__ = ("_words", "_pop", "_journal")
-
-    #: Initial capacity, in bitmap words (64 Ki heap words).
-    _INITIAL_WORDS = 1024
+    __slots__ = ("_intervals",)
 
     def __init__(self) -> None:
         if _np is None:  # pragma: no cover - guarded by make_kernel
             raise RuntimeError("BitmapKernel requires numpy")
-        self._words = _np.zeros(self._INITIAL_WORDS, dtype=_np.uint64)
-        self._pop = _np.zeros(self._INITIAL_WORDS, dtype=_np.uint32)
-        self._journal: list[tuple[int, int, int]] = []
+        self._intervals: IntervalSet | None = None
 
-    # Journal bridge (the O(1) side) ---------------------------------------
+    def attach(self, intervals: "IntervalSet") -> None:
+        """Bind the kernel to the interval set of one heap."""
+        if self._intervals is not None:
+            raise ValueError("kernel is already attached to a heap")
+        self._intervals = intervals
 
-    def record_add(self, start: int, end: int) -> None:
-        """Append one covering mutation (no bitmap work yet)."""
-        self._journal.append((_OP_ADD, start, end))
+    def _tables(self) -> tuple["np.ndarray", "np.ndarray"]:
+        """The interval set's ``(starts, ends)`` as int64 arrays."""
+        if self._intervals is None:
+            raise RuntimeError("kernel is not attached to a heap")
+        starts, ends = self._intervals.interval_lists()
+        return (_np.frombuffer(starts, dtype=_np.int64),
+                _np.frombuffer(ends, dtype=_np.int64))
 
-    def record_remove(self, start: int, end: int) -> None:
-        """Append one uncovering mutation (no bitmap work yet)."""
-        self._journal.append((_OP_REMOVE, start, end))
-
-    # Journal application ----------------------------------------------------
-
-    def _ensure_capacity(self, end: int) -> None:
-        needed = (end + 63) >> 6
-        have = len(self._words)
-        if needed <= have:
-            return
-        while have < needed:
-            have *= 2
-        grown = _np.zeros(have, dtype=_np.uint64)
-        grown[: len(self._words)] = self._words
-        self._words = grown
-        pop = _np.zeros(have, dtype=_np.uint32)
-        pop[: len(self._pop)] = self._pop
-        self._pop = pop
-
-    def flush(self) -> None:
-        """Fold the journal into the bitmap (amortized O(1) per entry).
-
-        Each entry touches ``O(range/64)`` bitmap words: partial masks
-        at the two ends, one vectorized fill between them.  Popcounts
-        are refreshed afterwards, once, over the touched word range.
-        """
-        journal = self._journal
-        if not journal:
-            return
-        words = self._words
-        lo_word = None
-        hi_word = 0
-        for op, start, end in journal:
-            if end <= start:
-                continue
-            self._ensure_capacity(end)
-            words = self._words
-            w0 = start >> 6
-            w1 = (end - 1) >> 6
-            if lo_word is None or w0 < lo_word:
-                lo_word = w0
-            if w1 + 1 > hi_word:
-                hi_word = w1 + 1
-            if w0 == w1:
-                mask = ((1 << (end - start)) - 1) << (start & 63)
-                if op == _OP_ADD:
-                    words[w0] |= _np.uint64(mask)
-                else:
-                    words[w0] &= _np.uint64(_FULL_WORD ^ mask)
-            else:
-                head = (_FULL_WORD << (start & 63)) & _FULL_WORD
-                tail = (1 << (((end - 1) & 63) + 1)) - 1
-                if op == _OP_ADD:
-                    words[w0] |= _np.uint64(head)
-                    words[w0 + 1: w1] = _np.uint64(_FULL_WORD)
-                    words[w1] |= _np.uint64(tail)
-                else:
-                    words[w0] &= _np.uint64(_FULL_WORD ^ head)
-                    words[w0 + 1: w1] = _np.uint64(0)
-                    words[w1] &= _np.uint64(_FULL_WORD ^ tail)
-        journal.clear()
-        if lo_word is not None:
-            self._pop[lo_word:hi_word] = _np.bitwise_count(
-                words[lo_word:hi_word]
-            )
-
-    # Vectorized queries -----------------------------------------------------
-
-    def _coverage_prefix(self, word_count: int) -> "np.ndarray":
-        """``prefix[i]`` = live words strictly below bitmap word ``i``.
-
-        Length ``word_count + 1``; computed per query batch (a cumsum
-        over the popcount array is cheap next to what it replaces).
-        """
-        prefix = _np.zeros(word_count + 1, dtype=_np.int64)
-        _np.cumsum(self._pop[:word_count], out=prefix[1:])
-        return prefix
-
-    def _coverage_below(
-        self, points: "np.ndarray", prefix: "np.ndarray"
-    ) -> "np.ndarray":
-        """Live words strictly below each point (vectorized)."""
-        word_index = points >> 6
-        bit_index = points & 63
-        # Word-aligned points have an empty partial mask, so clamping
-        # the gather index keeps a point at the capacity boundary legal
-        # without changing any answer.
-        gather = _np.minimum(word_index, len(self._words) - 1)
-        partial = _np.bitwise_count(
-            self._words[gather] & _LOW_MASKS[bit_index]
-        )
-        return prefix[word_index] + partial.astype(_np.int64)
+    def _covered_below(self, points: "np.ndarray") -> "np.ndarray":
+        """Live words strictly below each (non-negative) point."""
+        starts, ends = self._tables()
+        prefix = _np.zeros(len(starts) + 1, dtype=_np.int64)
+        _np.cumsum(ends - starts, out=prefix[1:])
+        # closing[i] is the end of interval i - 1 (0 before the first),
+        # so it is never above a non-negative point when i == 0.
+        closing = _np.concatenate((_np.zeros(1, dtype=_np.int64), ends))
+        index = _np.searchsorted(starts, points, side="right")
+        return prefix[index] - _np.maximum(closing[index] - points, 0)
 
     def range_popcount(self, start: int, end: int) -> int:
-        """Live words in ``[start, end)`` (one range; flushes first)."""
+        """Live words in ``[start, end)``."""
         if end <= start:
             return 0
-        self.flush()
-        word_count = min(len(self._words), ((end + 63) >> 6))
-        prefix = self._coverage_prefix(word_count)
-        bound = word_count << 6
-        points = _np.array([min(start, bound), min(end, bound)],
-                           dtype=_np.int64)
-        below = self._coverage_below(points, prefix)
-        return int(below[1] - below[0])
+        counts = self.range_popcounts(_np.array([start], dtype=_np.int64),
+                                      _np.array([end], dtype=_np.int64))
+        return int(counts[0])
 
     def range_popcounts(
-        self, starts: "np.ndarray", ends: "np.ndarray", limit: int
+        self, starts: "np.ndarray", ends: "np.ndarray"
     ) -> "np.ndarray":
-        """Live words in each ``[starts[i], ends[i])`` (all ``<= limit``)."""
-        self.flush()
-        word_count = min(len(self._words), ((limit + 63) >> 6))
-        prefix = self._coverage_prefix(word_count)
-        bound = word_count << 6
+        """Live words in each ``[starts[i], ends[i])``."""
         # asarray: the managers already pass int64 arrays — no copy.
-        lo = _np.minimum(_np.asarray(starts, dtype=_np.int64), bound)
-        hi = _np.minimum(_np.asarray(ends, dtype=_np.int64), bound)
-        # One fused gather for both endpoint batches halves the numpy
+        lo = _np.asarray(starts, dtype=_np.int64)
+        hi = _np.asarray(ends, dtype=_np.int64)
+        # One search over both endpoint batches halves the numpy
         # dispatch overhead on the hot per-decision call.
-        below = self._coverage_below(_np.concatenate((hi, lo)), prefix)
+        below = self._covered_below(_np.concatenate((hi, lo)))
         return below[:len(hi)] - below[len(hi):]
-
-    def _edge_positions(self, edge_words: "np.ndarray") -> "np.ndarray":
-        """Set-bit positions of a sparse edge bitmap, ascending.
-
-        The vectorized trailing-zero scan: gather only the words that
-        contain edges, explode them to bits with ``unpackbits``
-        (little-endian, so bit order equals address order), and read the
-        positions off ``nonzero``.  Cost is O(words-with-edges), i.e.
-        O(intervals), not O(heap span).
-        """
-        nonzero_words = _np.nonzero(edge_words)[0]
-        if len(nonzero_words) == 0:
-            return _np.empty(0, dtype=_np.int64)
-        exploded = _np.unpackbits(
-            edge_words[nonzero_words].view(_np.uint8).reshape(-1, 8),
-            axis=1, bitorder="little",
-        ).reshape(len(nonzero_words), 64)
-        word_base = nonzero_words.astype(_np.int64) * 64
-        rows, bits = _np.nonzero(exploded)
-        return word_base[rows] + bits
-
-    def _edges(self, limit: int) -> tuple["np.ndarray", "np.ndarray"]:
-        """(rising, falling) edge positions of the occupancy in [0, limit).
-
-        A rising edge at ``p`` means word ``p`` is live and ``p-1`` is
-        not (interval start); a falling edge means the converse
-        (interval end).  ``limit`` itself closes any open interval.
-        """
-        self.flush()
-        word_count = min(len(self._words), ((limit + 63) >> 6))
-        clipped = self._words[:word_count].copy()
-        if limit < (word_count << 6) and word_count > 0:
-            keep = (1 << (limit & 63)) - 1 if (limit & 63) else _FULL_WORD
-            clipped[word_count - 1] &= _np.uint64(keep)
-        # shifted bit i == stream bit i-1 (bit -1 = 0): one left shift
-        # per word plus the carry of each word's MSB into its neighbour.
-        shifted = clipped << _np.uint64(1)
-        if word_count > 1:
-            shifted[1:] |= clipped[:-1] >> _np.uint64(63)
-        rising = self._edge_positions(clipped & ~shifted)
-        falling_bits = ~clipped & shifted
-        falling = self._edge_positions(falling_bits)
-        # An interval still open at `limit` has no falling edge inside
-        # the clipped stream; close it explicitly.
-        if len(rising) > len(falling):
-            falling = _np.append(falling, limit)
-        return rising, falling
 
     def interval_arrays(
         self, limit: int
     ) -> tuple["np.ndarray", "np.ndarray"]:
         """(starts, ends) of the maximal live runs inside ``[0, limit)``."""
-        return self._edges(limit)
+        starts, ends = self._tables()
+        if len(ends) and ends[-1] > limit:
+            inside = int(_np.searchsorted(starts, limit, side="left"))
+            starts = starts[:inside]
+            ends = _np.minimum(ends[:inside], limit)
+        return starts, ends
 
     def gap_arrays(self, limit: int) -> tuple["np.ndarray", "np.ndarray"]:
         """(starts, ends) of the maximal free runs inside ``[0, limit)``.
 
-        The complement of :meth:`interval_arrays`: gaps open at falling
-        edges (and at 0 when the stream starts free) and close at rising
-        edges (and at ``limit``).
+        The complement of :meth:`interval_arrays`: a gap opens at 0 and
+        at each interval end and closes at the next interval start (or
+        at ``limit``).  Intervals never touch, so only the first and the
+        last of these candidate gaps can be empty.
         """
-        starts, ends = self._edges(limit)
-        if len(starts) == 0:
-            if limit <= 0:
-                empty = _np.empty(0, dtype=_np.int64)
-                return empty, empty
-            return (_np.array([0], dtype=_np.int64),
-                    _np.array([limit], dtype=_np.int64))
-        gap_starts = ends
-        gap_ends = starts
-        if starts[0] > 0:
-            gap_starts = _np.concatenate(([0], gap_starts))
-        else:
-            gap_ends = gap_ends[1:]
-        if ends[-1] < limit:
-            gap_ends = _np.append(gap_ends, limit)
-        else:
-            gap_starts = gap_starts[:-1]
-        return gap_starts, gap_ends
+        starts, ends = self.interval_arrays(limit)
+        gap_starts = _np.concatenate((_np.zeros(1, dtype=_np.int64), ends))
+        gap_ends = _np.concatenate(
+            (starts, _np.array([limit], dtype=_np.int64))
+        )
+        keep = gap_ends > gap_starts
+        return gap_starts[keep], gap_ends[keep]
 
     def chunk_sums(self, chunk_size: int, limit: int) -> "np.ndarray":
-        """Live words per ``chunk_size``-aligned chunk over ``[0, limit)``.
+        """Live words per ``chunk_size``-aligned chunk meeting ``[0, limit)``.
 
-        Index ``k`` of the returned array is chunk ``k``'s occupancy
-        (zeros included).  ``chunk_size`` must be a power of two (the
-        only callers use class sizes).  Chunks of 64+ words reduce the
-        popcount array; smaller chunks explode to bits first.
+        Index ``k`` of the returned array is the occupancy of chunk
+        ``[k * chunk_size, (k + 1) * chunk_size)``, zeros included.
         """
-        if chunk_size <= 0 or chunk_size & (chunk_size - 1):
-            raise ValueError("chunk_size must be a positive power of two")
-        self.flush()
-        word_count = min(len(self._words), ((limit + 63) >> 6))
-        if word_count == 0:
-            return _np.empty(0, dtype=_np.int64)
-        if chunk_size >= 64:
-            words_per_chunk = chunk_size >> 6
-            boundaries = _np.arange(0, word_count, words_per_chunk)
-            return _np.add.reduceat(
-                self._pop[:word_count].astype(_np.int64), boundaries
-            )
-        bits = _np.unpackbits(
-            self._words[:word_count].view(_np.uint8), bitorder="little"
-        )
-        return bits.reshape(-1, chunk_size).sum(axis=1, dtype=_np.int64)
+        if chunk_size <= 0:
+            raise ValueError("chunk_size must be positive")
+        count = -(-max(limit, 0) // chunk_size)
+        bounds = _np.arange(count + 1, dtype=_np.int64) * chunk_size
+        return _np.diff(self._covered_below(bounds))
 
     def chunk_occupancies(self, chunk_size: int, limit: int) -> dict[int, int]:
         """Live words per touched ``chunk_size``-aligned chunk index.
@@ -410,20 +248,3 @@ class BitmapKernel:
         sums = self.chunk_sums(chunk_size, limit)
         touched = _np.nonzero(sums)[0]
         return dict(zip(touched.tolist(), sums[touched].tolist()))
-
-    # Introspection / validation ---------------------------------------------
-
-    def to_intervals(self) -> Iterator[tuple[int, int]]:
-        """The bitmap's live runs — for cross-checks against the
-        authoritative :class:`~repro.heap.intervals.IntervalSet`."""
-        self.flush()
-        starts, ends = self._edges(len(self._words) << 6)
-        return iter(zip((int(s) for s in starts), (int(e) for e in ends)))
-
-    def check_consistency(self, intervals: Iterator[tuple[int, int]]) -> None:
-        """Assert the bitmap equals the given interval enumeration."""
-        mine = list(self.to_intervals())
-        expected = [(int(s), int(e)) for s, e in intervals]
-        assert mine == expected, (
-            f"bitmap kernel drifted: {mine[:8]}... != {expected[:8]}..."
-        )

@@ -270,7 +270,7 @@ def find_relocation_target(
     cleared).  Falls back to the free tail past both the covered span
     and the region.  Kept as a deliberate linear scan on the reference
     backend: the clipping semantics are not expressible as a plain
-    gap-index query.  With a bitmap kernel attached the same rule runs
+    gap-index query.  With a kernel attached the same rule runs
     vectorized over the whole gap array at once
     (:func:`repro.mm.fastpath.relocation_target` — proven to return the
     identical address).

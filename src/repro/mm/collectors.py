@@ -120,51 +120,14 @@ class SemispaceManager(MemoryManager):
         return self.space_words if self._active_base == 0 else 0
 
     def _evacuate(self) -> bool:
-        """Copy all live objects to the other space; True on success."""
-        if self.heap.kernel is not None:
-            return self._evacuate_fast()
-        live = sorted(
-            self.heap.objects.live_objects(), key=lambda obj: obj.address
-        )
-        survivors = sum(obj.size for obj in live)
-        if survivors > self.space_words:
-            return False
-        if survivors and not self.ctx.can_afford_move(survivors):
-            return False
-        target = self._other_base
-        for obj in live:
-            if not self.ctx.can_afford_move(obj.size):
-                return False  # adversary freed mid-copy can shift budget
-            if obj.address != target:
-                # Degraded allocations may already sit in the to-space;
-                # skip the copy pass if the slot is not actually free.
-                vacated = self.heap.occupied.copy()
-                vacated.remove(obj.address, obj.end)
-                if vacated.overlaps(target, target + obj.size):
-                    return False
-                self.ctx.move(obj.object_id, target)
-            if self.heap.objects.is_live(obj.object_id):
-                target += obj.size
-        self._active_base = self._other_base
-        self._bump = target
-        self.collections += 1
-        return True
+        """Copy all live objects to the other space; True on success.
 
-    def _evacuate_fast(self) -> bool:
-        """The bitmap-kernel evacuation: same decisions, vectorized.
-
-        Three exact equivalences with the reference path above:
-        ``heap.live_words`` *is* the survivor sum (live objects are
-        disjoint and the table maintains the total), so the size and
-        budget gates fire identically — and before any per-object work;
-        the address sort runs through numpy (addresses are unique, so
-        the order is the same); and "would the copy target collide with
-        anything but the object itself" is a range popcount minus the
-        object's own overlap with the target range, which is exactly
-        ``vacated.overlaps(...)`` without materializing the copy.
+        ``heap.live_words`` is the survivor sum (live objects are
+        disjoint), so the size and budget gates fire before any
+        per-object work.  A copy target collides with something other
+        than the object itself exactly when the target range holds more
+        live words than the object's own overlap with it.
         """
-        from .fastpath import live_objects_by_address, range_live_words
-
         heap = self.heap
         survivors = heap.live_words
         if survivors > self.space_words:
@@ -172,14 +135,16 @@ class SemispaceManager(MemoryManager):
         if survivors and not self.ctx.can_afford_move(survivors):
             return False
         target = self._other_base
-        for obj in live_objects_by_address(heap):
+        for obj in heap.objects_in_range(0, heap.occupied.span_end):
             if not self.ctx.can_afford_move(obj.size):
                 return False  # adversary freed mid-copy can shift budget
             if obj.address != target:
-                occupied = range_live_words(heap, target, target + obj.size)
-                own = min(obj.end, target + obj.size) - max(obj.address,
-                                                            target)
-                if occupied - max(0, own) > 0:
+                # Degraded allocations may already sit in the to-space;
+                # skip the copy pass if the slot is not actually free.
+                end = target + obj.size
+                occupied = heap.occupied.overlap_words(target, end)
+                own = min(obj.end, end) - max(obj.address, target)
+                if occupied > max(0, own):
                     return False
                 self.ctx.move(obj.object_id, target)
             if heap.objects.is_live(obj.object_id):

@@ -273,17 +273,7 @@ class CheapestWindowCompactor(MemoryManager):
             self._retry[size] = (self._layout_epoch, float(cost))
             return
         self._retry.pop(size, None)
-        if self.heap.kernel is not None:
-            # Already address-sorted — exactly the order the sort below
-            # produces from the reference scan.
-            victims = self.heap.objects_in_range(start, start + size)
-        else:
-            victims = [
-                obj for obj in self.heap.objects.live_objects()
-                if obj.overlaps_range(start, start + size)
-            ]
-            victims.sort(key=lambda obj: obj.address)
-        for victim in victims:
+        for victim in self.heap.objects_in_range(start, start + size):
             if not self.ctx.can_afford_move(victim.size):
                 return  # budget shifted mid-evacuation; abort politely
             target = find_relocation_target(

@@ -1,12 +1,12 @@
-"""Vectorized manager hot paths over the bitmap kernel.
+"""Vectorized manager hot paths over the occupancy kernel.
 
 Every function here is a drop-in replacement for a pure-Python
 computation somewhere in the manager/analysis layer, used only when the
-heap carries a :class:`~repro.heap.kernel.BitmapKernel` sidecar.  Each
-one reproduces its reference's answer *exactly* — same value, same
-tie-breaks, same iteration order where the result is ordered — so the
-event stream (and therefore the canonical digest) is identical under
-either backend.  The proofs are structural and short:
+heap carries a :class:`~repro.heap.kernel.BitmapKernel`.  Each one
+reproduces its reference's answer *exactly* — same value, same
+tie-breaks — so the event stream (and therefore the canonical digest)
+is identical under either backend.  The proofs are structural and
+short:
 
 * :func:`cheapest_interior_window` evaluates the **same candidate set**
   the reference derives (window starts at 0, the clipped limit, every
@@ -18,12 +18,8 @@ either backend.  The proofs are structural and short:
 * :func:`relocation_target` applies the reference's gap-clipping rule
   to the full gap arrays at once and picks the first (lowest) fitting
   gap, which is the reference's first-return;
-* :func:`chunk_occupancies` delegates to the kernel's reduceat/unpack
-  path, which yields the same ascending-index dict the reference sweep
-  builds;
-* :func:`live_objects_by_address` sorts the live table's (unique)
-  addresses with numpy instead of a Python key function — same order,
-  since addresses of disjoint live objects never tie.
+* :func:`sparsest_chunk` takes the first minimum over the chunk sums,
+  which is the lowest index the reference's strict-``<`` scan keeps.
 
 Import stays lazy-safe: this module is only imported once a bitmap
 kernel exists, which implies numpy is importable.
@@ -38,15 +34,10 @@ import numpy as _np
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..heap.heap import SimHeap
     from ..heap.kernel import BitmapKernel
-    from ..heap.object_model import HeapObject
 
 __all__ = [
     "cheapest_interior_window",
     "relocation_target",
-    "chunk_occupancies",
-    "live_objects_by_address",
-    "objects_overlapping",
-    "range_live_words",
     "sparsest_chunk",
 ]
 
@@ -55,46 +46,6 @@ def _kernel(heap: "SimHeap") -> "BitmapKernel":
     kernel = heap.kernel
     assert kernel is not None, "fastpath called without a bitmap kernel"
     return kernel  # type: ignore[return-value]
-
-
-def _interval_arrays(heap: "SimHeap") -> tuple["np.ndarray", "np.ndarray"]:
-    """(starts, ends) of the occupied intervals as int64 arrays.
-
-    Converted straight from the :class:`IntervalSet`'s sorted internal
-    lists — one C-level pass, no per-interval Python iteration, and by
-    construction identical to ``kernel.interval_arrays(span_end)``
-    (the bitmap-derived version survives for the differential tests).
-    """
-    starts, ends = heap.occupied.interval_lists()
-    return (_np.array(starts, dtype=_np.int64),
-            _np.array(ends, dtype=_np.int64))
-
-
-def _gap_arrays(heap: "SimHeap") -> tuple["np.ndarray", "np.ndarray"]:
-    """(starts, ends) of the free gaps inside ``[0, span_end)``.
-
-    The complement of :func:`_interval_arrays`: a gap opens at each
-    interval end (and at 0 when the heap starts free) and closes at the
-    next interval start — exactly the sequence
-    ``heap.occupied.gaps(0, span_end)`` yields.
-    """
-    starts, ends = _interval_arrays(heap)
-    if len(starts) == 0 or (len(starts) == 1 and starts[0] == 0):
-        empty = _np.empty(0, dtype=_np.int64)
-        return empty, empty
-    if starts[0] > 0:
-        gap_starts = _np.concatenate(
-            (_np.zeros(1, dtype=_np.int64), ends[:-1]))
-        gap_ends = starts
-    else:
-        gap_starts = ends[:-1]
-        gap_ends = starts[1:]
-    return gap_starts, gap_ends
-
-
-def range_live_words(heap: "SimHeap", start: int, end: int) -> int:
-    """Live words in ``[start, end)`` — bitmap-backed ``overlap_words``."""
-    return _kernel(heap).range_popcount(start, end)
 
 
 def cheapest_interior_window(
@@ -113,7 +64,7 @@ def cheapest_interior_window(
     if limit < 0:
         return None
     kernel = _kernel(heap)
-    starts, ends = _interval_arrays(heap)
+    starts, ends = kernel.interval_arrays(span_end)
     fixed = _np.array([0, limit], dtype=_np.int64)
     shifted = starts[starts >= size] - size  # always <= span_end - size
     pieces = [fixed, ends[ends <= limit], shifted]
@@ -130,7 +81,7 @@ def cheapest_interior_window(
         keep[0] = True
         _np.not_equal(candidates[1:], candidates[:-1], out=keep[1:])
         candidates = candidates[keep]
-    costs = kernel.range_popcounts(candidates, candidates + size, span_end)
+    costs = kernel.range_popcounts(candidates, candidates + size)
     best = int(_np.argmin(costs))  # first minimum == lowest start
     return int(candidates[best]), int(costs[best])
 
@@ -147,7 +98,7 @@ def relocation_target(
     wins, else the tail past both the span and the region.
     """
     span_end = heap.occupied.span_end
-    gap_starts, gap_ends = _gap_arrays(heap)
+    gap_starts, gap_ends = _kernel(heap).gap_arrays(span_end)
     if len(gap_starts):
         clipped = _np.where(
             (gap_starts < avoid_end) & (gap_ends > avoid_start),
@@ -158,13 +109,6 @@ def relocation_target(
         if fits.any():
             return int(clipped[int(_np.argmax(fits))])
     return max(span_end, avoid_end)
-
-
-def chunk_occupancies(heap: "SimHeap", chunk_size: int) -> dict[int, int]:
-    """Live words per touched aligned chunk (ascending index order)."""
-    return _kernel(heap).chunk_occupancies(
-        chunk_size, heap.occupied.span_end
-    )
 
 
 def sparsest_chunk(
@@ -188,30 +132,3 @@ def sparsest_chunk(
     candidates = _np.where(eligible, sums, _np.iinfo(_np.int64).max)
     index = int(_np.argmin(candidates))  # first minimum == lowest index
     return index, int(sums[index])
-
-
-def objects_overlapping(
-    heap: "SimHeap", start: int, end: int
-) -> "list[HeapObject]":
-    """Live objects intersecting ``[start, end)``, in live-table order.
-
-    Replaces the managers' ``[obj for obj in live_objects() if
-    obj.overlaps_range(start, end)]`` victim scans.  The heap's
-    address-sorted index yields the hits in O(hits + log live); the
-    live table iterates in insertion order, which is ascending
-    ``object_id`` (ids are monotone and never reused), so re-sorting the
-    hits by id restores exactly the reference's iteration order.
-    """
-    hits = heap.objects_in_range(start, end)
-    hits.sort(key=lambda obj: obj.object_id)
-    return hits
-
-
-def live_objects_by_address(heap: "SimHeap") -> "list[HeapObject]":
-    """The live objects in ascending address order.
-
-    Live objects are disjoint, so addresses are unique and the order is
-    total — identical to
-    ``sorted(live_objects(), key=lambda obj: obj.address)``.
-    """
-    return heap.objects_in_range(0, heap.occupied.span_end)

@@ -117,18 +117,12 @@ class Theorem2Manager(MemoryManager):
             self._evac_state[cls] = (self._layout_epoch, float(best_occupancy))
             return None
         self._evac_state.pop(cls, None)
-        # Move every live object intersecting the chunk out of it.
-        if self.heap.kernel is not None:
-            from .fastpath import objects_overlapping
-
-            victims = objects_overlapping(
-                self.heap, best_chunk.start, best_chunk.end
-            )
-        else:
-            victims = [
-                obj for obj in self.heap.objects.live_objects()
-                if obj.overlaps_range(best_chunk.start, best_chunk.end)
-            ]
+        # Move every live object intersecting the chunk out of it, in
+        # allocation order (ascending object_id, the live table's
+        # order): the move sequence, and so the event digest, depends
+        # on it.
+        victims = self.heap.objects_in_range(best_chunk.start, best_chunk.end)
+        victims.sort(key=lambda obj: obj.object_id)
         for victim in victims:
             if not self.ctx.can_afford_move(victim.size):
                 return None  # partial evacuation; region not reusable

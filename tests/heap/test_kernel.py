@@ -2,22 +2,29 @@
 
 Every query the bitmap kernel answers is also answerable by the
 authoritative :class:`IntervalSet` / pure-Python reference path.  The
-property tests here drive two heaps — one with the kernel sidecar, one
-without — through identical random mutation sequences and require every
-answer to agree exactly: occupancy, gap arrays, range popcounts, chunk
-occupancies, the cheapest-window candidate search, relocation targets,
-and the address-sorted object index.  Exact agreement (not approximate)
-is the contract that makes the two backends digest-identical.
+property tests here drive two heaps — one with the kernel, one without
+— through identical random mutation sequences and require every answer
+to agree exactly with the reference heap's: interval and gap arrays
+against ``IntervalSet`` iteration and ``gaps``, range popcounts against
+``IntervalSet.overlap_words``, chunk sums against
+``ChunkPartition.occupancies``, the cheapest-window candidate search,
+relocation targets, and the address-sorted object index.  Exact
+agreement (not approximate) is the contract that makes the two backends
+digest-identical.
 """
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
+import repro.heap.kernel as kernel_module  # noqa: E402
+from repro.heap.chunks import ChunkPartition  # noqa: E402
 from repro.heap.heap import SimHeap  # noqa: E402
 from repro.heap.kernel import (  # noqa: E402
     BitmapKernel,
@@ -33,10 +40,10 @@ from repro.heap.kernel import (  # noqa: E402
 
 
 class TestResolution:
-    def test_default_is_reference(self, monkeypatch):
+    def test_default_is_bitmap_with_numpy(self, monkeypatch):
         monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        assert resolve_kernel(None) == "reference"
-        assert make_kernel(None) is None
+        assert resolve_kernel(None) == "bitmap"
+        assert isinstance(make_kernel(None), BitmapKernel)
 
     def test_env_var_selects_bitmap(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV_VAR, "bitmap")
@@ -70,7 +77,7 @@ _ops = st.lists(
         st.integers(min_value=0, max_value=600),
         st.integers(min_value=1, max_value=48),
     ),
-    min_size=1,
+    min_size=0,
     max_size=60,
 )
 
@@ -98,41 +105,105 @@ def _apply(heaps: tuple[SimHeap, ...], kind: str, a: int, b: int) -> None:
             h.move(victim, a)
 
 
+#: Query points: inside the heap, and past ``span_end`` (ops reach 648).
+_points = st.lists(st.integers(min_value=0, max_value=800), min_size=1,
+                   max_size=12)
+
+
 @settings(max_examples=120, deadline=None)
-@given(ops=_ops)
-def test_bitmap_matches_interval_set(ops):
-    """The kernel's view of occupancy equals the IntervalSet's, always."""
+@given(ops=_ops, points=_points)
+@example(ops=[], points=[0, 5])
+def test_bitmap_matches_interval_set(ops, points):
+    """Interval and gap arrays equal the IntervalSet's, at every limit."""
+    heap = SimHeap(kernel=make_kernel("bitmap"))
+    mirror = SimHeap()
+    for kind, a, b in ops:
+        _apply((heap, mirror), kind, a, b)
+    heap.check_invariants()
+    kernel = heap.kernel
+    span = mirror.occupied.span_end
+    for limit in {0, span, span + 64, *points}:
+        starts, ends = kernel.interval_arrays(limit)
+        expected = [(s, min(e, limit)) for s, e in mirror.occupied
+                    if s < limit]
+        assert list(zip(starts.tolist(), ends.tolist())) == expected
+        starts, ends = kernel.gap_arrays(limit)
+        assert list(zip(starts.tolist(), ends.tolist())) == \
+            list(mirror.occupied.gaps(0, limit))
+
+
+@settings(max_examples=120, deadline=None)
+@given(ops=_ops, points=_points)
+@example(ops=[], points=[0, 5])
+def test_range_popcounts_match_overlap_words(ops, points):
+    """Range popcounts equal ``IntervalSet.overlap_words``, past span too."""
     heap = SimHeap(kernel=make_kernel("bitmap"))
     mirror = SimHeap()
     for kind, a, b in ops:
         _apply((heap, mirror), kind, a, b)
     kernel = heap.kernel
-    assert list(kernel.to_intervals()) == list(heap.occupied)
-    assert list(heap.occupied) == list(mirror.occupied)
-    heap.check_invariants()  # includes kernel + address-index cross-checks
-    span = heap.occupied.span_end
-    for start, end in [(0, span), (0, span + 64), (7, 131), (64, 128),
-                       (span // 2, span + 1)]:
-        if end <= start:
-            continue
-        assert kernel.range_popcount(start, end) == \
-            heap.occupied.overlap_words(start, end)
-    starts, ends = kernel.gap_arrays(span)
-    assert list(zip(starts.tolist(), ends.tolist())) == \
-        list(heap.occupied.gaps(0, span))
+    span = mirror.occupied.span_end
+    edges = sorted({0, span, span + 1, *points})
+    ranges = [(lo, hi) for lo in edges for hi in edges if lo < hi]
+    expected = [mirror.occupied.overlap_words(lo, hi) for lo, hi in ranges]
+    los = np.array([lo for lo, _ in ranges], dtype=np.int64)
+    his = np.array([hi for _, hi in ranges], dtype=np.int64)
+    assert kernel.range_popcounts(los, his).tolist() == expected
+    assert [kernel.range_popcount(lo, hi) for lo, hi in ranges] == expected
+    assert kernel.range_popcount(span + 1, span) == 0
 
 
 @settings(max_examples=80, deadline=None)
-@given(ops=_ops, chunk_exp=st.integers(min_value=3, max_value=7))
+@given(ops=_ops, chunk_exp=st.integers(min_value=0, max_value=8))
+@example(ops=[], chunk_exp=3)
 def test_chunk_occupancies_match(ops, chunk_exp):
-    from repro.heap.chunks import ChunkPartition
-
+    """Chunk sums equal ``ChunkPartition.occupancies`` on the reference."""
     heap = SimHeap(kernel=make_kernel("bitmap"))
     mirror = SimHeap()
     for kind, a, b in ops:
         _apply((heap, mirror), kind, a, b)
     partition = ChunkPartition(chunk_exp)
-    assert partition.occupancies(heap) == partition.occupancies(mirror)
+    expected = partition.occupancies(mirror)
+    assert partition.occupancies(heap) == expected
+    size = partition.chunk_size
+    span = mirror.occupied.span_end
+    for limit in (span, span + 3 * size):
+        sums = heap.kernel.chunk_sums(size, limit)
+        assert len(sums) == -(-limit // size)
+        assert {k: v for k, v in enumerate(sums.tolist()) if v} == expected
+
+
+def test_mutations_grow_no_kernel_state():
+    """A heap that never asks a bulk query keeps no kernel state growing.
+
+    10k places and nearly as many frees through a 32-object FIFO; any
+    per-mutation record kept by the kernel module shows up as traced
+    allocation growth attributed to ``repro/heap/kernel.py``.
+    """
+    heap = SimHeap(kernel=make_kernel("bitmap"))
+    only_kernel = [tracemalloc.Filter(True, kernel_module.__file__)]
+    live: list[int] = []
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(only_kernel)
+        for step in range(10_000):
+            if len(live) == 32:
+                heap.free(live.pop(0))
+            live.append(heap.place((step % 64) * 16, 8).object_id)
+        after = tracemalloc.take_snapshot().filter_traces(only_kernel)
+    finally:
+        tracemalloc.stop()
+    growth = sum(stat.size_diff
+                 for stat in after.compare_to(before, "filename"))
+    assert growth <= 0
+    heap.check_invariants()
+
+
+def test_kernel_attaches_to_one_heap():
+    kernel = make_kernel("bitmap")
+    SimHeap(kernel=kernel)
+    with pytest.raises(ValueError):
+        SimHeap(kernel=kernel)
 
 
 @settings(max_examples=80, deadline=None)
