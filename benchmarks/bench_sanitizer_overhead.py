@@ -2,9 +2,9 @@
 
 Not a paper figure — this captures the checker subsystem's price in the
 perf trajectory: the same :math:`P_F` execution baseline (no observer),
-with a subscriber-free bus (the ``has_sinks`` lazy-construction path —
-the price every parallel-engine worker pays before its digest sink is
-attached; target overhead ≤5%), instrumented (full telemetry), and
+with a subscriber-free bus (tape rows only, no event objects — the
+price every unarchived parallel-engine task pays for its digest;
+target overhead ≤5%), instrumented (full telemetry), and
 sanitized (telemetry plus the whole :mod:`repro.check` checker set).
 The ratios land in the ``BENCH_JSON`` record so a commit that makes the
 checkers quadratic — or re-inflates event construction on the no-sink

@@ -29,7 +29,7 @@ from ..heap.metrics import HeapMetrics, snapshot
 from ..heap.object_model import HeapObject
 from ..mm.base import ManagerContext, MemoryManager
 from ..mm.budget import BudgetSnapshot, CompactionBudget
-from ..obs.events import Alloc, CompactionWindow, EventBus, Free, Move
+from ..obs.events import EventBus
 from ..obs.trace import StageSpanSink, Tracer, active_tracer
 from .base import AdversaryProgram, ProgramMoveListener, ProgramView
 from .trace import TraceLog
@@ -109,9 +109,9 @@ class ExecutionDriver:
         #: "bitmap" run (the digests agree; only the key differs).
         self.kernel_name = resolve_kernel(kernel)
         self.heap = SimHeap(kernel=make_kernel(self.kernel_name))
-        #: The telemetry bus, or None (the null-sink fast path: every
-        #: emission site below guards on this, so uninstrumented runs
-        #: pay one comparison per operation and build no event objects).
+        #: The telemetry bus, or None (every emission site below guards
+        #: on this, so uninstrumented runs pay one comparison per
+        #: operation; a bus records each event as one tape row).
         self.observer = observer
         #: The span tracer, hoisted through active_tracer so a disabled
         #: tracer costs exactly what no tracer costs (one comparison);
@@ -142,9 +142,9 @@ class ExecutionDriver:
             self.budget.tracer = self._fine_tracer
         self._ctx = ManagerContext(
             self.heap, self.budget, move_listener=self._on_manager_move,
-            observer=observer, tracer=self._fine_tracer,
+            tracer=self._fine_tracer,
         )
-        manager.attach(self._ctx, observer=observer)
+        manager.attach(self._ctx)
 
     # Program-facing operations (called via ProgramView) -------------------
 
@@ -163,10 +163,10 @@ class ExecutionDriver:
                 f"{self.heap.live_words + size} > M={self.params.live_space}"
             )
         observer = self.observer
-        # One has_sinks check per request: a subscriber-less bus takes
-        # the same zero-allocation fast path as no bus at all.
-        emitting = observer is not None and observer.has_sinks
-        start_ns = time.perf_counter_ns() if emitting else 0
+        # The clock is read only when a subscriber will see latency_ns
+        # (the digest excludes it, so the tape alone does not need it).
+        timed = observer is not None and observer.has_sinks
+        start_ns = time.perf_counter_ns() if timed else 0
         tracer = self._fine_tracer
         if tracer is not None:
             alloc_span = tracer.begin_unchecked("alloc", {"size": size})
@@ -181,22 +181,19 @@ class ExecutionDriver:
         # The window closes only now: some managers compact lazily inside
         # place() (e.g. the Theorem-2 evacuator), and those moves belong
         # to this request's window just the same.
-        if emitting and self._ctx.moves_this_request:
-            observer.emit(CompactionWindow(
-                request_size=size,
-                moves=self._ctx.moves_this_request,
-                moved_words=self._ctx.moved_words_this_request,
-            ))
+        if observer is not None and self._ctx.moves_this_request:
+            observer.emit_window(size, self._ctx.moves_this_request,
+                                 self._ctx.moved_words_this_request)
         obj = self.heap.place(address, size)  # raises OverlapError if bad
         self.budget.charge_allocation(size)
         self.manager.on_place(obj)
         self._allocs += 1
         self._live_peak = max(self._live_peak, self.heap.live_words)
-        if emitting:
-            observer.emit(Alloc(
-                object_id=obj.object_id, size=size, address=address,
-                latency_ns=time.perf_counter_ns() - start_ns,
-            ))
+        if observer is not None:
+            observer.emit_alloc(
+                obj.object_id, size, address,
+                time.perf_counter_ns() - start_ns if timed else 0,
+            )
         if tracer is not None:
             alloc_span.set(
                 address=address,
@@ -224,10 +221,8 @@ class ExecutionDriver:
         if tracer is not None:
             free_span.set(size=obj.size, address=obj.address)
             tracer.end(free_span)
-        if self.observer is not None and self.observer.has_sinks:
-            self.observer.emit(Free(
-                object_id=object_id, size=obj.size, address=obj.address,
-            ))
+        if self.observer is not None:
+            self.observer.emit_free(object_id, obj.size, obj.address)
         if self.trace is not None:
             self.trace.record_free(self.heap.clock, object_id, obj.size, obj.address)
         if self.paranoid:
@@ -244,13 +239,11 @@ class ExecutionDriver:
         self, obj: HeapObject, old_address: int, new_address: int
     ) -> None:
         self._moves += 1
-        if self.observer is not None and self.observer.has_sinks:
+        if self.observer is not None:
             # Emitted before the program's listener so a consequent
             # free (P_F's immediate-free rule) follows its move.
-            self.observer.emit(Move(
-                object_id=obj.object_id, size=obj.size,
-                old_address=old_address, new_address=new_address,
-            ))
+            self.observer.emit_move(obj.object_id, obj.size, old_address,
+                                    new_address)
         if self.trace is not None:
             self.trace.record_move(
                 self.heap.clock, obj.object_id, obj.size, old_address, new_address

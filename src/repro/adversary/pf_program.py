@@ -42,7 +42,7 @@ from ..core.params import BoundParams
 from ..core.theorem1 import feasible_density_exponents, lower_bound, waste_factor_at
 from ..heap.chunks import ChunkId, ChunkPartition
 from ..heap.object_model import HeapObject
-from ..obs.events import EventBus, StageTransition
+from ..obs.events import EventBus
 from .association import WHOLE, AssociationMap
 from .base import AdversaryProgram, ProgramView
 from .ghosts import GhostRegistry
@@ -123,10 +123,8 @@ class PFProgram(AdversaryProgram):
             method(*args)
 
     def _emit_stage(self, stage: str, step: int, label: str = "") -> None:
-        if self.bus is not None and self.bus.has_sinks:
-            self.bus.emit(StageTransition(
-                program=self.name, stage=stage, step=step, label=label,
-            ))
+        if self.bus is not None:
+            self.bus.emit_stage(self.name, stage, step, label)
 
     # Move handling (Definition 4.1 + Stage-II residue rule) -----------------
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from ..core.params import BoundParams
 from ..heap.object_model import HeapObject
-from ..obs.events import EventBus, StageTransition
+from ..obs.events import EventBus
 from .base import AdversaryProgram, ProgramView
 from .ghosts import GhostRegistry
 
@@ -162,10 +162,8 @@ class RobsonProgram(AdversaryProgram):
         self.bus = bus
 
     def _emit_stage(self, step: int, label: str = "") -> None:
-        if self.bus is not None and self.bus.has_sinks:
-            self.bus.emit(StageTransition(
-                program=self.name, stage="robson", step=step, label=label,
-            ))
+        if self.bus is not None:
+            self.bus.emit_stage(self.name, "robson", step, label)
 
     def run(self, view: ProgramView) -> None:
         engine = RobsonEngine(view, self.ghosts)

@@ -87,9 +87,9 @@ class InstrumentedManager(MemoryManager):
 
     # Delegation ------------------------------------------------------------
 
-    def attach(self, ctx: ManagerContext, observer=None) -> None:
-        super().attach(ctx, observer)
-        self.inner.attach(ctx, observer)
+    def attach(self, ctx: ManagerContext) -> None:
+        super().attach(ctx)
+        self.inner.attach(ctx)
 
     def prepare(self, size: int) -> None:
         self.inner.prepare(size)

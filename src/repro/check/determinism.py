@@ -161,22 +161,32 @@ class DeterminismChecker(Checker):
 # Replay -----------------------------------------------------------------------
 
 
-def _rebuild_program(name: str, params: "BoundParams") -> "AdversaryProgram | None":
-    """A fresh program instance for a recorded run, by recorded name.
+def _rebuild_program(name: str, config: object,
+                     params: "BoundParams") -> "AdversaryProgram | None":
+    """A fresh program instance for a recorded run.
+
+    ``name`` and ``config`` are the manifest's ``program`` and
+    ``config`` entries.  A manifest whose ``config.task`` holds a
+    :class:`~repro.parallel.tasks.SimTask` (every result-cache entry)
+    is rebuilt exactly as the worker built it: by catalog short name,
+    with the recorded ``program_options``.  Other manifests record only
+    the program's *display* name (``program.name``, e.g.
+    ``"cohen-petrank-PF"``), which resolves through the display names of
+    every catalog entry with default options — what ``repro simulate
+    --telemetry`` records.  One registry (:mod:`repro.adversary.catalog`)
+    serves the CLI, the parallel engine and this replayer.
 
     Returns None for program families this module cannot reconstruct
-    (custom programs recorded by library users).  All built-in programs
-    are deterministic with their default seeds, which is exactly what
-    the recording path uses.
-
-    Manifests record the program's *display* name (``program.name``,
-    e.g. ``"cohen-petrank-PF"``) rather than the catalog short key, so
-    this resolves through the display names of every catalog entry —
-    one registry (:mod:`repro.adversary.catalog`) serves the CLI, the
-    parallel engine and this replayer.
+    (custom programs recorded by library users).
     """
-    from ..adversary.catalog import PROGRAM_FACTORIES
+    from ..adversary.catalog import PROGRAM_FACTORIES, make_program
 
+    task = config.get("task") if isinstance(config, Mapping) else None
+    if isinstance(task, Mapping):
+        from ..parallel.tasks import SimTask
+
+        spec = SimTask.from_dict(task)
+        return make_program(spec.program, params, **spec.options_dict())
     factories = {factory.name: factory  # type: ignore[attr-defined]
                  for factory in PROGRAM_FACTORIES.values()}
     factory = factories.get(name)
@@ -189,7 +199,9 @@ def replay_digest(manifest: Mapping[str, object]) -> str | None:
     """Re-run a recorded configuration; return the fresh stream digest.
 
     Returns None when the manifest names a program this module cannot
-    rebuild.  Raises ``ValueError`` on malformed parameters.
+    rebuild.  Raises ``ValueError`` on malformed parameters.  The
+    replay runs with a subscriber-free bus: its tape alone yields the
+    digest.
     """
     from ..core.params import BoundParams
     from ..mm.registry import create_manager
@@ -207,18 +219,16 @@ def replay_digest(manifest: Mapping[str, object]) -> str | None:
         int(raw_params["max_object"]),  # type: ignore[index, call-overload]
         float(divisor) if isinstance(divisor, (int, float)) else None,
     )
-    program = _rebuild_program(program_name, params)
+    program = _rebuild_program(program_name, manifest.get("config"), params)
     if program is None:
         return None
 
     from ..adversary.driver import ExecutionDriver
 
     bus = EventBus()
-    hasher = hashlib.sha256()
-    bus.subscribe(lambda event: hasher.update(canonical_event_bytes(event)))
     if hasattr(program, "bus"):
         program.bus = bus
     driver = ExecutionDriver(params, create_manager(manager_name, params),
                              observer=bus)
     driver.run(program)
-    return hasher.hexdigest()
+    return bus.tape.digest()

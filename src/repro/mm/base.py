@@ -28,7 +28,6 @@ from ..heap.errors import ProtocolError
 from ..heap.heap import SimHeap
 from ..heap.object_model import HeapObject
 from ..heap.units import align_up
-from ..obs.events import EventBus
 from ..obs.trace import Tracer
 from .budget import CompactionBudget
 
@@ -56,14 +55,10 @@ class ManagerContext:
         heap: SimHeap,
         budget: CompactionBudget,
         move_listener: MoveListener | None = None,
-        observer: EventBus | None = None,
         tracer: Tracer | None = None,
     ) -> None:
         self.heap = heap
         self.budget = budget
-        #: The telemetry bus (None = uninstrumented).  Managers may emit
-        #: their own events through it; the driver emits the standard set.
-        self.observer = observer
         #: The fine-grained span tracer (None unless per-operation
         #: tracing is on — the driver only wires it in fine mode, so the
         #: common path pays one comparison per move).
@@ -135,8 +130,6 @@ class MemoryManager(ABC):
 
     def __init__(self) -> None:
         self._ctx: ManagerContext | None = None
-        #: The telemetry bus handed to :meth:`attach` (None = off).
-        self.observer: EventBus | None = None
 
     @property
     def ctx(self) -> ManagerContext:
@@ -150,17 +143,11 @@ class MemoryManager(ABC):
         """Shorthand for ``self.ctx.heap``."""
         return self.ctx.heap
 
-    def attach(self, ctx: ManagerContext, observer: EventBus | None = None) -> None:
-        """Bind to an execution.  Managers are single-use.
-
-        ``observer`` is the optional telemetry bus; it is stored on the
-        manager (and defaults to the context's bus when omitted) so
-        subclasses can emit policy-specific events.
-        """
+    def attach(self, ctx: ManagerContext) -> None:
+        """Bind to an execution.  Managers are single-use."""
         if self._ctx is not None:
             raise ProtocolError(f"manager {self.name!r} attached twice")
         self._ctx = ctx
-        self.observer = observer if observer is not None else ctx.observer
         self.on_attach()
 
     # Hooks ---------------------------------------------------------------

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..heap.errors import CompactionBudgetExceeded
-from ..obs.events import BudgetCharge
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.events import EventBus
@@ -126,11 +125,6 @@ class CompactionBudget:
         #: per-operation tracing is on; None costs one comparison).
         self.tracer: "Tracer | None" = None
 
-    def _emit_charge(self, reason: str, words: int) -> None:
-        self.observer.emit(  # type: ignore[union-attr]
-            BudgetCharge(reason=reason, words=words, remaining=self.remaining)
-        )
-
     # Accrual -----------------------------------------------------------------
 
     def charge_allocation(self, words: int) -> None:
@@ -138,8 +132,8 @@ class CompactionBudget:
         if words <= 0:
             raise ValueError("allocation size must be positive")
         self._allocated += words
-        if self.observer is not None and self.observer.has_sinks:
-            self._emit_charge("alloc", words)
+        if self.observer is not None:
+            self.observer.emit_charge("alloc", words, self.remaining)
 
     # Spending ----------------------------------------------------------------
 
@@ -196,8 +190,8 @@ class CompactionBudget:
                 f"allocated={self._allocated}, c={self._divisor}"
             )
         self._moved += words
-        if self.observer is not None and self.observer.has_sinks:
-            self._emit_charge("move", words)
+        if self.observer is not None:
+            self.observer.emit_charge("move", words, self.remaining)
         if tracer is not None:
             span.set(moved=self._moved)
             tracer.end(span)
@@ -279,10 +273,8 @@ class AbsoluteBudget:
         if words <= 0:
             raise ValueError("allocation size must be positive")
         self._allocated += words
-        if self.observer is not None and self.observer.has_sinks:
-            self.observer.emit(BudgetCharge(
-                reason="alloc", words=words, remaining=self.remaining,
-            ))
+        if self.observer is not None:
+            self.observer.emit_charge("alloc", words, self.remaining)
 
     def can_move(self, words: int) -> bool:
         """Whether a move of ``words`` fits under the absolute cap."""
@@ -304,10 +296,8 @@ class AbsoluteBudget:
                 f"moved={self._moved}, limit={self._limit}"
             )
         self._moved += words
-        if self.observer is not None and self.observer.has_sinks:
-            self.observer.emit(BudgetCharge(
-                reason="move", words=words, remaining=self.remaining,
-            ))
+        if self.observer is not None:
+            self.observer.emit_charge("move", words, self.remaining)
         if tracer is not None:
             span.set(moved=self._moved)
             tracer.end(span)

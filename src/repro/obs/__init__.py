@@ -7,7 +7,9 @@ windows, budget charges, adversary stage transitions); subscribers turn
 the stream into :mod:`metrics <repro.obs.metrics>` (counters, gauges,
 latency/size histograms), a :mod:`sampled time series
 <repro.obs.sampler>`, and a persisted :mod:`manifest/JSONL pair
-<repro.obs.export>` that ``repro report`` renders.
+<repro.obs.export>` that ``repro report`` renders.  The bus records
+every event once, as a row of its :mod:`event tape <repro.obs.tape>`;
+the run's digest and ``events.jsonl`` are computed from the tape.
 
 Instrumentation is strictly opt-in: every hook in the driver, the budget
 ledger and the adversary programs is an ``EventBus | None`` defaulting
@@ -46,7 +48,6 @@ from .export import (
     EVENTS_FILENAME,
     MANIFEST_FILENAME,
     SCHEMA_VERSION,
-    JsonlEventWriter,
     RunData,
     build_manifest,
     load_manifest,
@@ -68,6 +69,7 @@ from .metrics import (
 from .report import render_run, replay_waste_trajectory, sparkline, stage_rows
 from .profile import aggregate_spans, profile_block, render_timeline, render_top
 from .sampler import HeapSampler, SamplePoint
+from .tape import EventTape
 from .telemetry import DEFAULT_SAMPLE_EVERY, Telemetry, run_recorded
 from .trace import (
     TRACE_FILENAME,
@@ -89,11 +91,11 @@ __all__ = [
     "EVENTS_FILENAME",
     "EventBus",
     "EventSink",
+    "EventTape",
     "Free",
     "Gauge",
     "HeapSampler",
     "Histogram",
-    "JsonlEventWriter",
     "LATENCY_BUCKETS_NS",
     "MANIFEST_FILENAME",
     "MetricsCollector",

@@ -16,16 +16,17 @@ Events are mutable dataclasses whose ``seq`` field is stamped by the bus
 at emission, giving every subscriber a shared monotone clock regardless
 of which component produced the event.
 
-**Null-sink fast path.** Instrumentation call sites hold an
-``EventBus | None`` and guard every emission with ``if bus is not None
-and bus.has_sinks:`` — an uninstrumented run pays one pointer
-comparison per operation, a run with a bus but no subscribers pays one
-extra truthiness check, and *neither constructs an event object*.
-Call sites that cannot hoist the guard can use :meth:`EventBus.emit_lazy`
-with a zero-arg factory instead.  This is what keeps the hot path
-within the repo's throughput budget (see ``tools/check_overhead.py``
-and ``benchmarks/bench_sanitizer_overhead.py``, which tracks the
-no-sink ratio).
+**Record once; objects only for subscribers.** Instrumentation call
+sites hold an ``EventBus | None`` and emit through the bus's per-kind
+methods (:meth:`EventBus.emit_alloc` and siblings) behind one ``if bus
+is not None``.  The bus records every event as one row of its
+:class:`~repro.obs.tape.EventTape`, typed columns from which the run's
+canonical digest and ``events.jsonl`` are computed once, at run end.
+An event object is built only when someone subscribes: a bus without
+subscribers appends a row and nothing else, and an uninstrumented run
+pays one pointer comparison per operation.  ``tools/check_overhead.py``
+and ``benchmarks/bench_sanitizer_overhead.py`` hold both paths to their
+throughput budgets.
 """
 
 from __future__ import annotations
@@ -186,23 +187,31 @@ def event_from_dict(record: dict) -> TelemetryEvent:
 
 
 class EventBus:
-    """Synchronous fan-out of events to subscribers, in subscription order.
+    """Records every event on its tape; fans events out to subscribers.
 
-    The bus owns the emission counter: every event gets the next ``seq``
-    at :meth:`emit` time, so events from the driver, the budget ledger
-    and the adversary program interleave on one shared clock.
+    The bus owns the run's :class:`~repro.obs.tape.EventTape`: every
+    event becomes one tape row, and the row index is the event's
+    ``seq``, so events from the driver, the budget ledger and the
+    adversary program interleave on one shared clock.  Producers call
+    the per-kind methods (:meth:`emit_alloc` and siblings).  With no
+    subscribers these append the row and build nothing; with
+    subscribers they build the dataclass and hand it to :meth:`emit`,
+    the one fan-out point.
     """
 
-    __slots__ = ("_sinks", "_count")
+    __slots__ = ("_sinks", "tape")
 
     def __init__(self) -> None:
+        from .tape import EventTape  # the tape module imports the events
+
         self._sinks: list[EventSink] = []
-        self._count = 0
+        #: Every event so far, one row each (see :mod:`repro.obs.tape`).
+        self.tape = EventTape()
 
     @property
     def event_count(self) -> int:
-        """Events emitted so far (the next event's ``seq``)."""
-        return self._count
+        """Events recorded so far (the next event's ``seq``)."""
+        return len(self.tape)
 
     @property
     def sink_count(self) -> int:
@@ -213,11 +222,9 @@ class EventBus:
     def has_sinks(self) -> bool:
         """Whether anyone is listening.
 
-        Hot loops guard event construction on this so a subscriber-less
-        bus costs one attribute check per operation and zero
-        allocations.  Events skipped this way are never emitted at all:
-        they advance neither ``seq`` nor :attr:`event_count` (nobody
-        observed them, so there is nothing to order).
+        Producers need not ask before emitting (the tape records every
+        event either way); the driver asks once per request so it reads
+        the clock for ``latency_ns`` only when someone will see it.
         """
         return bool(self._sinks)
 
@@ -231,18 +238,56 @@ class EventBus:
         self._sinks.remove(sink)
 
     def emit(self, event: TelemetryEvent) -> None:
-        """Stamp ``event.seq`` and deliver to every subscriber in order."""
-        event.seq = self._count
-        self._count += 1
+        """Stamp ``event.seq``, record its row and deliver it in order."""
+        event.seq = len(self.tape)
+        self.tape.record(event)
         for sink in self._sinks:
             sink(event)
 
-    def emit_lazy(self, factory: Callable[[], TelemetryEvent]) -> None:
-        """Emit ``factory()`` only if someone is subscribed.
+    # Per-kind producers: a tape row, plus an event object for subscribers.
 
-        The zero-allocation form for call sites that cannot hoist a
-        ``has_sinks`` guard: with no subscribers the factory is never
-        invoked and no event object exists.
-        """
+    def emit_alloc(self, object_id: int, size: int, address: int,
+                   latency_ns: int = 0) -> None:
+        """Emit an :class:`Alloc`."""
         if self._sinks:
-            self.emit(factory())
+            self.emit(Alloc(object_id, size, address, latency_ns))
+        else:
+            self.tape.append_alloc(object_id, size, address, latency_ns)
+
+    def emit_free(self, object_id: int, size: int, address: int) -> None:
+        """Emit a :class:`Free`."""
+        if self._sinks:
+            self.emit(Free(object_id, size, address))
+        else:
+            self.tape.append_free(object_id, size, address)
+
+    def emit_move(self, object_id: int, size: int, old_address: int,
+                  new_address: int) -> None:
+        """Emit a :class:`Move`."""
+        if self._sinks:
+            self.emit(Move(object_id, size, old_address, new_address))
+        else:
+            self.tape.append_move(object_id, size, old_address, new_address)
+
+    def emit_window(self, request_size: int, moves: int,
+                    moved_words: int) -> None:
+        """Emit a :class:`CompactionWindow`."""
+        if self._sinks:
+            self.emit(CompactionWindow(request_size, moves, moved_words))
+        else:
+            self.tape.append_window(request_size, moves, moved_words)
+
+    def emit_stage(self, program: str, stage: str, step: int,
+                   label: str = "") -> None:
+        """Emit a :class:`StageTransition`."""
+        if self._sinks:
+            self.emit(StageTransition(program, stage, step, label))
+        else:
+            self.tape.append_stage(program, stage, step, label)
+
+    def emit_charge(self, reason: str, words: int, remaining: float) -> None:
+        """Emit a :class:`BudgetCharge`."""
+        if self._sinks:
+            self.emit(BudgetCharge(reason, words, remaining))
+        else:
+            self.tape.append_charge(reason, words, remaining)

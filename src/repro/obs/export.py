@@ -6,7 +6,9 @@ A recorded run is a directory with exactly two files:
   parameters, configuration, wall time, peak RSS, end-of-run result
   numbers, the metrics registry and the sampled time series;
 * ``events.jsonl`` — one :meth:`~repro.obs.events.TelemetryEvent.to_dict`
-  record per line, in emission (``seq``) order.
+  record per line, in emission (``seq``) order.  Recorded runs write it
+  from the bus's tape (:meth:`repro.obs.tape.EventTape.write_jsonl`);
+  :func:`write_events` writes the same bytes from event objects.
 
 The pair is the interchange format of the repository: ``repro report``
 renders it, :meth:`repro.adversary.trace.TraceLog.to_jsonl` shares the
@@ -28,7 +30,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "MANIFEST_FILENAME",
     "EVENTS_FILENAME",
-    "JsonlEventWriter",
     "write_events",
     "read_events",
     "build_manifest",
@@ -63,29 +64,6 @@ def peak_rss_kb() -> int | None:
     if sys.platform == "darwin":  # pragma: no cover - platform specific
         rss //= 1024
     return int(rss)
-
-
-class JsonlEventWriter:
-    """Bus subscriber buffering events for one-shot JSONL export.
-
-    Buffering (rather than streaming) keeps emission allocation-free
-    apart from the dict encoding; runs in this repository are bounded by
-    the simulation scale, so the buffer stays small.
-    """
-
-    def __init__(self) -> None:
-        self.events: list[TelemetryEvent] = []
-
-    def __call__(self, event: TelemetryEvent) -> None:
-        """Deliver one event (the bus-subscriber interface)."""
-        self.events.append(event)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def write(self, path: _PathLike) -> Path:
-        """Write every buffered event as one JSONL file; returns the path."""
-        return write_events(path, self.events)
 
 
 def write_events(path: _PathLike, events: list[TelemetryEvent]) -> Path:

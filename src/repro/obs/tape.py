@@ -1,0 +1,285 @@
+"""The event tape: every event of a run as typed columns, recorded once.
+
+An :class:`EventTape` is the run's event stream in storage form.  Each
+event is one *row*; the row index is the event's ``seq``.  A
+``bytearray`` holds every row's kind code, and each kind keeps its
+fields interleaved in one stdlib ``array('q')``.  ``BudgetCharge.remaining``
+goes in an ``array('d')``, and string fields (stage names, labels,
+charge reasons) are ids into a small string table.  A row costs one
+byte of kind code plus eight bytes per field, and no object.
+
+Two encoders read the columns back, both in bounded blocks of
+:data:`BLOCK_ROWS` rows so their memory does not grow with the run:
+
+* :meth:`EventTape.digest` — the canonical SHA-256, byte-identical to
+  :func:`repro.check.determinism.event_stream_digest` over the same
+  events (compact JSON, sorted keys, ``latency_ns`` dropped);
+* :meth:`EventTape.write_jsonl` — ``events.jsonl``, byte-identical to
+  :func:`repro.obs.export.write_events` over the same events.
+
+Each encoder formats a block kind by kind with one ``%`` template per
+kind (derived from the event dataclass, so the field set has a single
+definition), then interleaves the per-kind lines back into row order
+using the kind column.  The per-row work all runs inside C loops
+(``zip``, ``map``, ``str.__mod__``, ``itertools.compress``).
+
+Columns are 64-bit: an integer field outside ``[-2**63, 2**63)`` raises
+``OverflowError`` on append, and ``remaining`` is stored as a float.
+"""
+
+from __future__ import annotations
+
+import json
+from array import array
+from dataclasses import fields
+from itertools import compress
+from math import isfinite
+from operator import attrgetter
+from pathlib import Path
+from typing import Iterator, Union
+
+from .events import (
+    Alloc,
+    BudgetCharge,
+    CompactionWindow,
+    Free,
+    Move,
+    StageTransition,
+    TelemetryEvent,
+)
+
+__all__ = ["EventTape", "BLOCK_ROWS"]
+
+#: Rows encoded per block by :meth:`EventTape.digest` and
+#: :meth:`EventTape.write_jsonl` (bounds their working memory).
+BLOCK_ROWS = 1024
+
+#: Kind codes, in the order of :data:`_KINDS`.
+ALLOC, FREE, MOVE, WINDOW, STAGE, CHARGE = range(6)
+
+#: Event class per kind code.
+_KINDS: tuple[type[TelemetryEvent], ...] = (
+    Alloc, Free, Move, CompactionWindow, StageTransition, BudgetCharge,
+)
+
+#: Per kind code, the fields kept in its interleaved row array
+#: (dataclass order; string fields hold string-table ids).  The float
+#: field ``remaining`` lives in its own column.  Field types are read
+#: from the annotations, which ``repro.obs.events`` keeps as strings.
+_ROW_FIELDS: tuple[tuple[str, ...], ...] = tuple(
+    tuple(field.name for field in fields(cls)
+          if field.name != "seq" and field.type != "float")
+    for cls in _KINDS
+)
+
+#: Kind name -> kind code.
+_CODES = {cls.kind: code for code, cls in enumerate(_KINDS)}
+
+#: Per kind code, every field but ``seq`` of an event object, as a tuple.
+_FIELD_GETTERS = tuple(
+    attrgetter(*(field.name for field in fields(cls) if field.name != "seq"))
+    for cls in _KINDS
+)
+
+#: ``bytes.translate`` tables mapping one kind code to 1, the rest to 0.
+_MASKS = tuple(bytes(int(code == kind) for code in range(256))
+               for kind in range(len(_KINDS)))
+
+_PathLike = Union[str, Path]
+
+
+def _encoder(cls: type[TelemetryEvent], *, canonical: bool
+             ) -> tuple[str, tuple[tuple[str, int], ...]]:
+    """One kind's line template and where each of its arguments comes from.
+
+    The template is ``json.dumps`` of the event's dict with sorted keys,
+    every value replaced by ``%s``: ``str`` of an int or a finite float
+    is exactly what ``json`` writes for it, and string fields are passed
+    pre-encoded.  ``canonical`` selects the digest form (compact
+    separators, no ``latency_ns``) over the ``events.jsonl`` form.  The
+    sources, in template order, are ``(source, row offset)`` pairs with
+    source ``"seq"``, ``"float"``, ``"str"`` or ``"int"``.
+    """
+    names = [field.name for field in fields(cls)
+             if not (canonical and field.name == "latency_ns")]
+    types = {field.name: field.type for field in fields(cls)}
+    record: dict = {"kind": cls.kind}
+    for name in names:
+        record[name] = f"@{name}@"
+    text = json.dumps(record, sort_keys=True,
+                      separators=(",", ":") if canonical else None)
+    text = text.replace("%", "%%")
+    for name in names:
+        text = text.replace(json.dumps(f"@{name}@"), "%s")
+    row = _ROW_FIELDS[_KINDS.index(cls)]
+    sources = tuple(
+        ("seq", -1) if name == "seq" else
+        ("float", -1) if types[name] == "float" else
+        (types[name], row.index(name))
+        for name in sorted(names)
+    )
+    return text + "\n", sources
+
+
+#: Per kind code: the (canonical, jsonl) encoders.
+_ENCODERS = tuple(
+    (_encoder(cls, canonical=True), _encoder(cls, canonical=False))
+    for cls in _KINDS
+)
+
+
+class EventTape:
+    """Columnar store of one run's events (see the module docs)."""
+
+    __slots__ = ("_kinds", "_rows", "_remaining", "_strings", "_string_ids",
+                 "_digest")
+
+    def __init__(self) -> None:
+        self._kinds = bytearray()
+        self._rows = tuple(array("q") for _ in _KINDS)
+        self._remaining = array("d")
+        #: String table: the JSON encoding of each interned string.
+        self._strings: list[str] = []
+        self._string_ids: dict[str, int] = {}
+        #: ``(row count, hex digest)`` of the last :meth:`digest` call.
+        self._digest: tuple[int, str] | None = None
+
+    def __len__(self) -> int:
+        return len(self._kinds)
+
+    def _string_id(self, text: str) -> int:
+        found = self._string_ids.get(text)
+        if found is None:
+            found = self._string_ids[text] = len(self._strings)
+            self._strings.append(json.dumps(text))
+        return found
+
+    def _append(self, code: int, values: tuple) -> None:
+        """Append one row of kind ``code``; a rejected value adds nothing."""
+        rows = self._rows[code]
+        try:
+            rows.extend(values)
+        except (OverflowError, TypeError):
+            # array.extend keeps the values before the bad one: drop them.
+            del rows[len(rows) - len(rows) % len(values):]
+            raise
+        self._kinds.append(code)
+
+    # Per-kind appends (one row each; argument order as the dataclass) ------
+
+    def append_alloc(self, object_id: int, size: int, address: int,
+                     latency_ns: int = 0) -> None:
+        """Record an :class:`~repro.obs.events.Alloc` row."""
+        self._append(ALLOC, (object_id, size, address, latency_ns))
+
+    def append_free(self, object_id: int, size: int, address: int) -> None:
+        """Record a :class:`~repro.obs.events.Free` row."""
+        self._append(FREE, (object_id, size, address))
+
+    def append_move(self, object_id: int, size: int, old_address: int,
+                    new_address: int) -> None:
+        """Record a :class:`~repro.obs.events.Move` row."""
+        self._append(MOVE, (object_id, size, old_address, new_address))
+
+    def append_window(self, request_size: int, moves: int,
+                      moved_words: int) -> None:
+        """Record a :class:`~repro.obs.events.CompactionWindow` row."""
+        self._append(WINDOW, (request_size, moves, moved_words))
+
+    def append_stage(self, program: str, stage: str, step: int,
+                     label: str = "") -> None:
+        """Record a :class:`~repro.obs.events.StageTransition` row."""
+        self._append(STAGE, (self._string_id(program), self._string_id(stage),
+                             step, self._string_id(label)))
+
+    def append_charge(self, reason: str, words: int,
+                      remaining: float) -> None:
+        """Record a :class:`~repro.obs.events.BudgetCharge` row."""
+        self._remaining.append(remaining)
+        try:
+            self._append(CHARGE, (self._string_id(reason), words))
+        except (OverflowError, TypeError):
+            self._remaining.pop()
+            raise
+
+    def record(self, event: TelemetryEvent) -> None:
+        """Record the row of an event object, dispatched on its kind."""
+        code = _CODES.get(event.kind)
+        if code is None:
+            raise ValueError(f"unknown telemetry event kind {event.kind!r}")
+        _APPENDERS[code](self, *_FIELD_GETTERS[code](event))
+
+    # Encoders ------------------------------------------------------------------
+
+    def _blocks(self, jsonl: bool) -> Iterator[str]:
+        """The rows' JSON lines, :data:`BLOCK_ROWS` rows per string."""
+        kinds = self._kinds
+        strings = self._strings.__getitem__
+        cursors = [0] * len(_KINDS)
+        lines: list[Iterator[str]] = [iter(())] * len(_KINDS)
+        for start in range(0, len(kinds), BLOCK_ROWS):
+            block = kinds[start:start + BLOCK_ROWS]
+            for code, encoders in enumerate(_ENCODERS):
+                count = block.count(code)
+                if not count:
+                    continue
+                first = cursors[code]
+                cursors[code] = first + count
+                width = len(_ROW_FIELDS[code])
+                span = self._rows[code][first * width:(first + count) * width]
+                template, sources = encoders[jsonl]
+                columns: list = []
+                for source, offset in sources:
+                    if source == "seq":
+                        columns.append(compress(
+                            range(start, start + len(block)),
+                            block.translate(_MASKS[code])))
+                    elif source == "float":
+                        values = self._remaining[first:first + count]
+                        columns.append(values if all(map(isfinite, values))
+                                       else map(json.dumps, values))
+                    elif source == "str":
+                        columns.append(map(strings, span[offset::width]))
+                    else:
+                        columns.append(span[offset::width])
+                lines[code] = map(template.__mod__, zip(*columns))
+            yield "".join(map(next, map(lines.__getitem__, block)))
+
+    def digest(self) -> str:
+        """The canonical SHA-256 hex digest of every row so far.
+
+        Equal to :func:`repro.check.determinism.event_stream_digest` of
+        the same events; memoized until the next append.
+        """
+        if self._digest is not None and self._digest[0] == len(self._kinds):
+            return self._digest[1]
+        # Imported here: loading OpenSSL adds megabytes of resident memory
+        # to every process that imports repro.obs, hashing or not.
+        import hashlib
+
+        hasher = hashlib.sha256()
+        for text in self._blocks(jsonl=False):
+            hasher.update(text.encode())
+        self._digest = (len(self._kinds), hasher.hexdigest())
+        return self._digest[1]
+
+    def write_jsonl(self, path: _PathLike) -> Path:
+        """Write every row as ``events.jsonl`` (parents created).
+
+        The bytes equal :func:`repro.obs.export.write_events` over the
+        same events, ``latency_ns`` included.
+        """
+        target = Path(path)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        with target.open("w", encoding="utf-8") as handle:
+            for text in self._blocks(jsonl=True):
+                handle.write(text)
+        return target
+
+
+#: Per kind code, the per-kind append (it takes the fields in dataclass
+#: order, ``seq`` excepted, which :data:`_FIELD_GETTERS` reads).
+_APPENDERS = (
+    EventTape.append_alloc, EventTape.append_free, EventTape.append_move,
+    EventTape.append_window, EventTape.append_stage, EventTape.append_charge,
+)

@@ -7,7 +7,10 @@
 driver — a :class:`~repro.obs.sampler.HeapSampler` producing the time
 series.  :func:`run_recorded` is the one-call path the CLI and the
 experiment grids use: build telemetry, instrument driver + program, run,
-persist a ``manifest.json`` / ``events.jsonl`` pair.
+persist a ``manifest.json`` / ``events.jsonl`` pair.  Both files come
+from the bus's event tape: the online subscribers (metrics, sampler,
+sanitizer, stage spans) see event objects as they happen, and nothing
+else buffers or re-hashes the stream.
 """
 
 from __future__ import annotations
@@ -16,12 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence, Union
 
 from .events import EventBus
-from .export import (
-    EVENTS_FILENAME,
-    JsonlEventWriter,
-    build_manifest,
-    write_manifest,
-)
+from .export import EVENTS_FILENAME, build_manifest, write_manifest
 from .metrics import MetricsCollector, MetricsRegistry
 from .sampler import HeapSampler
 from .trace import TRACE_FILENAME, Tracer, active_tracer, write_trace
@@ -42,14 +40,6 @@ __all__ = [
 
 #: Default sampling cadence (bus events between heap snapshots).
 DEFAULT_SAMPLE_EVERY = 256
-
-
-def _stream_digest(writer: JsonlEventWriter) -> str:
-    """Canonical digest of the buffered stream (lazy import: obs must
-    not depend on check at module load)."""
-    from ..check.determinism import event_stream_digest
-
-    return event_stream_digest(writer.events)
 
 
 class Telemetry:
@@ -182,9 +172,11 @@ def run_recorded(
     ``profile`` block is added to the manifest.  Spans are out-of-band:
     ``event_digest`` is identical with or without them.
 
-    The manifest records ``event_digest``, the canonical SHA-256 of the
-    emitted stream, so ``repro check`` can detect any later tampering
-    with ``events.jsonl`` and verify deterministic replays.
+    The bus's :class:`~repro.obs.tape.EventTape` is the one record of
+    the stream: ``events.jsonl`` is written from it, and the manifest's
+    ``event_digest`` (the canonical SHA-256 that lets ``repro check``
+    detect later tampering with ``events.jsonl`` and verify
+    deterministic replays) is computed from it, once.
     """
     from ..adversary.driver import ExecutionDriver  # avoid import cycle
     from .profile import profile_block
@@ -196,8 +188,6 @@ def run_recorded(
     trace_mark = live_tracer.mark() if live_tracer is not None else 0
 
     telemetry = Telemetry(sample_every=sample_every)
-    writer = JsonlEventWriter()
-    telemetry.bus.subscribe(writer)
     if extra_sinks is not None:
         for sink in extra_sinks:
             telemetry.bus.subscribe(sink)
@@ -225,7 +215,8 @@ def run_recorded(
         write_trace(target / TRACE_FILENAME, run_spans)
         profile = profile_block(run_spans, dropped=live_tracer.dropped)
 
-    writer.write(target / EVENTS_FILENAME)
+    tape = telemetry.bus.tape
+    tape.write_jsonl(target / EVENTS_FILENAME)
     budget_snapshot = result.budget
     config = {"sample_every": sample_every, "record_trace": record_trace,
               "paranoid": paranoid, "trace": live_tracer is not None,
@@ -264,8 +255,8 @@ def run_recorded(
         samples=telemetry.samples_as_dicts(),
         wall_seconds=result.wall_seconds,
         events_per_second=result.events_per_second,
-        event_count=telemetry.bus.event_count,
-        event_digest=_stream_digest(writer),
+        event_count=len(tape),
+        event_digest=tape.digest(),
         profile=profile,
     )
     write_manifest(target, manifest)

@@ -20,7 +20,7 @@ semantics.
 
 from .cache import CACHE_SCHEMA, ResultCache, task_digest
 from .engine import EngineStats, ParallelEngine, default_jobs
-from .tasks import SimTask, StreamDigest, TaskResult, run_task
+from .tasks import SimTask, TaskResult, run_task
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -28,7 +28,6 @@ __all__ = [
     "ParallelEngine",
     "ResultCache",
     "SimTask",
-    "StreamDigest",
     "TaskResult",
     "default_jobs",
     "run_task",

@@ -7,8 +7,10 @@ tasks — never live objects — rebuild the configuration from the
 registries, run it with a private :class:`~repro.obs.events.EventBus`,
 and ship back a :class:`TaskResult`: every scalar the analysis layer
 needs plus the canonical event-stream digest that anchors
-serial-vs-parallel equivalence (see
-:func:`repro.check.determinism.event_stream_digest`).
+serial-vs-parallel equivalence, computed once at run end from the bus's
+:class:`~repro.obs.tape.EventTape` (equal to
+:func:`repro.check.determinism.event_stream_digest` of the same
+events).
 
 :func:`run_task` is the one function executed in worker processes; it
 must stay importable at module top level so the process pool can pickle
@@ -25,12 +27,12 @@ from typing import Any, Mapping
 
 from ..adversary.catalog import make_program
 from ..adversary.driver import ExecutionResult, run_execution
-from ..check.determinism import canonical_event_bytes
 from ..core.params import BoundParams
 from ..heap.metrics import HeapMetrics
 from ..mm.budget import BudgetSnapshot
 from ..mm.registry import create_manager
-from ..obs.events import EventBus, TelemetryEvent
+from ..obs.events import EventBus
+from ..obs.tape import EventTape
 from ..obs.trace import Tracer
 
 __all__ = [
@@ -38,7 +40,6 @@ __all__ = [
     "TaskResult",
     "SolveTask",
     "SolveResult",
-    "StreamDigest",
     "run_task",
     "run_solve_task",
 ]
@@ -365,25 +366,8 @@ def run_solve_task(task: SolveTask, jobs: int = 1,
     )
 
 
-class StreamDigest:
-    """Bus sink computing the canonical stream digest incrementally."""
-
-    def __init__(self) -> None:
-        self._hasher = hashlib.sha256()
-        self.count = 0
-
-    def __call__(self, event: TelemetryEvent) -> None:
-        """Deliver one event (the bus-subscriber interface)."""
-        self._hasher.update(canonical_event_bytes(event))
-        self.count += 1
-
-    def hexdigest(self) -> str:
-        """The digest over everything fed so far."""
-        return self._hasher.hexdigest()
-
-
 def _result_from_execution(task: SimTask, result: ExecutionResult,
-                           digest: StreamDigest) -> TaskResult:
+                           tape: EventTape) -> TaskResult:
     return TaskResult(
         task=task,
         program_name=result.program_name,
@@ -398,8 +382,8 @@ def _result_from_execution(task: SimTask, result: ExecutionResult,
         move_count=result.move_count,
         budget=asdict(result.budget),
         metrics=asdict(result.metrics),
-        event_digest=digest.hexdigest(),
-        event_count=digest.count,
+        event_digest=tape.digest(),
+        event_count=len(tape),
         wall_seconds=result.wall_seconds,
     )
 
@@ -412,9 +396,10 @@ def run_task(task: SimTask, record_root: str | None = None,
              trace: bool = False) -> TaskResult:
     """Execute one task; the worker-process entry point.
 
-    Every run gets its own :class:`~repro.obs.events.EventBus` with a
-    digest sink, so the canonical event digest is computed whether or
-    not the run is archived.  With ``record_root`` set, the run is
+    Every run gets its own :class:`~repro.obs.events.EventBus`, whose
+    tape yields the canonical event digest whether or not the run is
+    archived; an unarchived run has no subscribers, so it builds no
+    event objects at all.  With ``record_root`` set, the run is
     additionally persisted as a standard ``repro check``-able run
     directory under ``<record_root>/<cache key>/`` (manifest.json +
     events.jsonl) plus a ``result.json`` the cache reads back — written
@@ -438,33 +423,34 @@ def run_task(task: SimTask, record_root: str | None = None,
     params = task.params
     program = make_program(task.program, params, **task.options_dict())
     manager = create_manager(task.manager, params)
-    digest = StreamDigest()
     tracer = Tracer() if trace else None
     task_span = (tracer.begin_unchecked(_task_label(task), {"pid": os.getpid()})
                  if tracer is not None else None)
 
     if record_root is None:
         bus = EventBus()
-        bus.subscribe(digest)
         if hasattr(program, "bus"):
             program.bus = bus
         result = run_execution(params, program, manager, observer=bus,
                                tracer=tracer, kernel=task.kernel)
-        return _finish_task(task, result, digest, tracer, task_span)
+        return _finish_task(task, result, bus.tape, tracer, task_span)
 
     from .cache import RESULT_FILENAME, task_digest  # local: avoid cycle
     from ..obs.telemetry import run_recorded
 
     key = task_digest(task)
     target = Path(record_root) / key
+    drivers: list[Any] = []
     result = run_recorded(
         params, program, manager, target,
         extra_config={"task": task.to_dict(), "cache_key": key},
-        extra_sinks=[digest],
+        on_driver=drivers.append,
         tracer=tracer,
         kernel=task.kernel,
     )
-    task_result = _finish_task(task, result, digest, tracer, task_span)
+    # The tape memoizes its digest: this is the manifest's, not a rehash.
+    tape = drivers[0].observer.tape
+    task_result = _finish_task(task, result, tape, tracer, task_span)
     payload = task_result.to_dict()
     payload["cache_key"] = key
     _write_json_atomic(target / RESULT_FILENAME, payload)
@@ -472,10 +458,10 @@ def run_task(task: SimTask, record_root: str | None = None,
 
 
 def _finish_task(task: SimTask, result: ExecutionResult,
-                 digest: StreamDigest, tracer: "Tracer | None",
+                 tape: EventTape, tracer: "Tracer | None",
                  task_span: Any) -> TaskResult:
     """Close the task span and attach the serialized trace, if any."""
-    task_result = _result_from_execution(task, result, digest)
+    task_result = _result_from_execution(task, result, tape)
     if tracer is None:
         return task_result
     if task_span is not None:

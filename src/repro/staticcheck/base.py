@@ -279,12 +279,17 @@ class StaticCheckConfig:
         "repro.parallel.tasks.SimTask",
         "repro.parallel.tasks.TaskResult",
     )
-    #: Attribute names whose call marks a function as event-emitting.
-    emit_attr_names: tuple[str, ...] = ("emit", "emit_lazy")
+    #: Attribute names whose call marks a function as event-emitting:
+    #: the bus's fan-out point and its per-kind producers.
+    emit_attr_names: tuple[str, ...] = (
+        "emit", "emit_alloc", "emit_free", "emit_move", "emit_window",
+        "emit_stage", "emit_charge",
+    )
     #: Fully qualified digest helpers (callers become digest-relevant).
     digest_functions: tuple[str, ...] = (
         "repro.check.determinism.canonical_event_bytes",
         "repro.check.determinism.event_stream_digest",
+        "repro.obs.tape.EventTape.digest",
     )
     #: Module holding the telemetry event registry.
     events_module: str = "src/repro/obs/events.py"

@@ -4,10 +4,11 @@ The runtime determinism checker (``repro check --replay``) proves a
 *given* run was reproducible; this pass proves the *code* cannot emit a
 nondeterministic event stream in the first place.  "Digest-relevant"
 means: every function that can transitively reach an event emission
-(``EventBus.emit`` / ``emit_lazy`` — matched by attribute name, so
-``self.observer.emit(...)`` counts without knowing the observer's
-class) or one of the canonical digest helpers in
-:mod:`repro.check.determinism`.  Reachability is computed over the
+(``EventBus.emit`` or a per-kind producer such as ``emit_alloc`` —
+matched by attribute name, so ``self.observer.emit_charge(...)`` counts
+without knowing the observer's class) or one of the canonical digest
+helpers (:mod:`repro.check.determinism`, ``EventTape.digest``).
+Reachability is computed over the
 whole-program call graph, so a nondeterministic helper three calls
 upstream of the emission is still in scope.
 

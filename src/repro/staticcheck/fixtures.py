@@ -395,6 +395,34 @@ _FIXTURE_TIME_READ = StaticFixture(
 )
 
 
+_FIXTURE_SET_INTO_TAPE = StaticFixture(
+    name="set-iteration-into-emit-alloc",
+    description=(
+        "a helper re-emits live objects by iterating a set and calling a "
+        "per-kind producer (bus.emit_alloc): set order varies with hash "
+        "seeding, so the tape rows — and the digest — differ between "
+        "identically-seeded runs"
+    ),
+    pass_name="determinism",
+    expect_rule="unordered-iteration",
+    expect_symbol="repro.adversary.restore.emit_live",
+    files={
+        "src/repro/adversary/restore.py": _src("""
+            def emit_live(bus, objects):
+                for obj in set(objects):
+                    bus.emit_alloc(obj.object_id, obj.size, obj.address)
+        """),
+    },
+    fixed_files={
+        "src/repro/adversary/restore.py": _src("""
+            def emit_live(bus, objects):
+                for obj in sorted(set(objects), key=lambda o: o.object_id):
+                    bus.emit_alloc(obj.object_id, obj.size, obj.address)
+        """),
+    },
+)
+
+
 # ---------------------------------------------------------------------------
 # pickle pass
 # ---------------------------------------------------------------------------
@@ -1264,6 +1292,7 @@ STATIC_FIXTURES: tuple[StaticFixture, ...] = (
     _FIXTURE_UNORDERED_DICT,
     _FIXTURE_ID_ORDERING,
     _FIXTURE_TIME_READ,
+    _FIXTURE_SET_INTO_TAPE,
     _FIXTURE_UNPICKLABLE_FIELD,
     _FIXTURE_LAMBDA_DEFAULT,
     _FIXTURE_WORKER_MUTATION,

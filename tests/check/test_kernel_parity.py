@@ -18,11 +18,9 @@ pytest.importorskip("numpy")
 
 from repro.adversary.catalog import program_names, make_program  # noqa: E402
 from repro.adversary.driver import run_execution  # noqa: E402
-from repro.check.determinism import event_stream_digest  # noqa: E402
 from repro.core.params import BoundParams  # noqa: E402
 from repro.mm.registry import create_manager, manager_names  # noqa: E402
 from repro.obs.events import EventBus  # noqa: E402
-from repro.obs.export import JsonlEventWriter  # noqa: E402
 
 #: Small enough that the full matrix stays in test-suite time; the
 #: compactors still compact at this point (the PF program forces it).
@@ -34,8 +32,6 @@ _COMPACTING = manager_names(compacting=True)
 
 def _digest(manager: str, program: str, kernel: str) -> tuple[str, int]:
     bus = EventBus()
-    writer = JsonlEventWriter()
-    bus.subscribe(writer)
     result = run_execution(
         _PARAMS,
         make_program(program, _PARAMS),
@@ -43,7 +39,7 @@ def _digest(manager: str, program: str, kernel: str) -> tuple[str, int]:
         observer=bus,
         kernel=kernel,
     )
-    return event_stream_digest(writer.events), result.heap_size
+    return bus.tape.digest(), result.heap_size
 
 
 @pytest.mark.parametrize("program", program_names())

@@ -9,7 +9,6 @@ from repro.obs.export import (
     EVENTS_FILENAME,
     MANIFEST_FILENAME,
     SCHEMA_VERSION,
-    JsonlEventWriter,
     build_manifest,
     load_manifest,
     load_run,
@@ -21,24 +20,25 @@ from repro.obs.export import (
 
 
 def _some_events():
+    """A bus that saw three events, and the events its subscriber got."""
     bus = EventBus()
-    writer = JsonlEventWriter()
-    bus.subscribe(writer)
+    seen = []
+    bus.subscribe(seen.append)
     bus.emit(Alloc(object_id=1, size=4, address=0, latency_ns=10))
     bus.emit(StageTransition(program="p", stage="I", step=0, label="begin"))
     bus.emit(Free(object_id=1, size=4, address=0))
-    return writer
+    return bus, seen
 
 
 class TestJsonl:
     def test_round_trip(self, tmp_path):
-        writer = _some_events()
-        path = writer.write(tmp_path / "sub" / EVENTS_FILENAME)
-        assert read_events(path) == writer.events
+        bus, seen = _some_events()
+        path = bus.tape.write_jsonl(tmp_path / "sub" / EVENTS_FILENAME)
+        assert read_events(path) == seen
 
     def test_one_sorted_json_object_per_line(self, tmp_path):
-        writer = _some_events()
-        path = write_events(tmp_path / EVENTS_FILENAME, writer.events)
+        _, seen = _some_events()
+        path = write_events(tmp_path / EVENTS_FILENAME, seen)
         lines = path.read_text().splitlines()
         assert len(lines) == 3
         first = json.loads(lines[0])
@@ -46,8 +46,8 @@ class TestJsonl:
         assert list(first) == sorted(first)
 
     def test_writer_counts(self):
-        writer = _some_events()
-        assert len(writer) == 3
+        bus, seen = _some_events()
+        assert len(bus.tape) == len(seen) == 3
 
 
 class TestManifest:
@@ -97,7 +97,7 @@ class TestManifest:
 
     def test_load_run_pairs_manifest_and_events(self, tmp_path):
         write_manifest(tmp_path, self._manifest())
-        write_events(tmp_path / EVENTS_FILENAME, _some_events().events)
+        write_events(tmp_path / EVENTS_FILENAME, _some_events()[1])
         run = load_run(tmp_path)
         assert run.live_space_bound == 2048
         assert len(run.events) == 3

@@ -3,14 +3,15 @@
 
 Runs the same P_F execution five ways — uninstrumented (``observer=None``
 everywhere), with an :class:`repro.obs.events.EventBus` attached but
-*zero* subscribers (the ``has_sinks`` lazy-construction fast path: no
-event objects are built at all), with a *disabled*
-:class:`repro.obs.trace.Tracer` passed to the driver (collapses to the
-no-tracer fast path: one pointer comparison per operation), with a full
-:class:`repro.obs.telemetry.Telemetry` attached (metrics collector,
-heap sampler and JSONL buffer all subscribed), and with the
-:class:`repro.check.Sanitizer` checker set riding the instrumented bus
-— and fails if the subscriber-free bus is more than
+*zero* subscribers (the bus records one tape row per event and builds no
+event objects), with a *disabled* :class:`repro.obs.trace.Tracer`
+passed to the driver (collapses to the no-tracer fast path: one pointer
+comparison per operation), with a full
+:class:`repro.obs.telemetry.Telemetry` attached (metrics collector and
+heap sampler subscribed, so every event is also built as an object;
+the bus's tape is the run's record, as in ``run_recorded``), and with
+the :class:`repro.check.Sanitizer` checker set riding the instrumented
+bus — and fails if the subscriber-free bus is more than
 ``--no-sink-threshold`` (default 1.5) times slower, the disabled tracer
 more than ``--no-trace-threshold`` (default 1.5, target ~1.05) times
 slower, instrumentation more than ``--threshold`` (default 2.0) times
@@ -45,7 +46,6 @@ from repro.adversary.driver import ExecutionDriver
 from repro.check import CheckContext, Sanitizer
 from repro.core.params import BoundParams
 from repro.mm import create_manager
-from repro.obs.export import JsonlEventWriter
 from repro.obs.telemetry import Telemetry
 
 #: The workload: big enough to dominate per-run setup, small enough to
@@ -162,7 +162,7 @@ def _run_baseline() -> float:
 def _run_no_sink() -> float:
     from repro.obs.events import EventBus
 
-    bus = EventBus()  # attached but zero subscribers: has_sinks is False
+    bus = EventBus()  # attached but zero subscribers: tape rows only
     program = PFProgram(PARAMS)
     if hasattr(program, "bus"):
         program.bus = bus
@@ -192,7 +192,6 @@ def _run_trace_disabled() -> float:
 
 def _run_instrumented() -> float:
     telemetry = Telemetry()
-    telemetry.bus.subscribe(JsonlEventWriter())
     program = PFProgram(PARAMS)
     telemetry.instrument_program(program)
     driver = ExecutionDriver(
@@ -206,7 +205,6 @@ def _run_instrumented() -> float:
 
 def _run_sanitized() -> float:
     telemetry = Telemetry()
-    telemetry.bus.subscribe(JsonlEventWriter())
     program = PFProgram(PARAMS)
     telemetry.instrument_program(program)
     sanitizer = Sanitizer(CheckContext.from_params(

@@ -35,7 +35,7 @@ MODULES = [
     "repro.analysis.heapmap",
     "repro.exact", "repro.exact.game", "repro.exact.strategy",
     "repro.exact.budgeted",
-    "repro.obs", "repro.obs.events", "repro.obs.metrics",
+    "repro.obs", "repro.obs.events", "repro.obs.tape", "repro.obs.metrics",
     "repro.obs.sampler", "repro.obs.export", "repro.obs.telemetry",
     "repro.obs.report", "repro.obs.trace", "repro.obs.profile",
     "repro.parallel", "repro.parallel.tasks", "repro.parallel.cache",
