@@ -1,21 +1,15 @@
-"""Benchmark: the flow-sensitive dataflow tier, cold and warm.
+"""Benchmark: the flow-sensitive dataflow tier, cold.
 
-The dataflow passes (budget-range, invariant-safety, alias-escape,
-dead-flow) build one CFG per function and run worklist solvers over it
-— strictly more work per module than the lexical rules, which is why
-the tier ships with an incremental cache.  This bench pins both sides
-of that trade:
+The dataflow passes (budget-range, invariant-safety, alias-escape)
+build one CFG per function and run worklist solvers over it — strictly
+more work per module than the lexical rules.  This bench pins that
+cost:
 
-* a **cold** run of the four passes over ``src/repro`` + ``tools``
-  stays under ``BUDGET_SECONDS`` (a CI latency budget, like
-  ``bench_staticcheck``);
-* a **warm** run against the same cache re-analyzes **zero** modules
-  and comes back strictly cheaper — the property that makes the
-  ``actions/cache``-restored CI job scale with the diff, not the tree.
-
-CFG construction itself is measured separately (blocks/edges per
-second) so a solver regression and a builder regression are
-distinguishable in the perf trajectory.
+* one run of the three passes over ``src/repro`` + ``tools`` stays
+  under ``BUDGET_SECONDS`` and is clean;
+* CFG construction itself is measured separately (blocks/edges per
+  second) so a solver regression and a builder regression are
+  distinguishable in the perf trajectory.
 """
 
 from __future__ import annotations
@@ -30,43 +24,29 @@ from repro.staticcheck.runner import (
     run_staticcheck,
 )
 
-#: Hard wall-clock ceiling for one cold dataflow-tier run (ISSUE budget).
+#: Hard wall-clock ceiling for one dataflow-tier run.
 BUDGET_SECONDS = 15.0
 
-_DATAFLOW_RULES = ["budget-range", "invariant-safety", "alias-escape",
-                   "dead-flow"]
+_DATAFLOW_RULES = ["budget-range", "invariant-safety", "alias-escape"]
 
 
-def test_dataflow_tier_cold_and_warm_under_budget(bench_record, tmp_path):
+def test_dataflow_tier_under_budget(bench_record):
     root = repo_root()
     scope = default_paths(root)
-    cache_dir = tmp_path / "staticcheck-cache"
 
     started = time.perf_counter()
-    cold = run_staticcheck(scope, root=root, rules=_DATAFLOW_RULES,
-                           cache_dir=cache_dir)
-    cold_s = time.perf_counter() - started
-    assert cold_s < BUDGET_SECONDS, (
-        f"cold dataflow tier took {cold_s:.2f}s on {cold.files_checked} "
+    result = run_staticcheck(scope, root=root, rules=_DATAFLOW_RULES)
+    wall_s = time.perf_counter() - started
+    assert wall_s < BUDGET_SECONDS, (
+        f"dataflow tier took {wall_s:.2f}s on {result.files_checked} "
         f"files (budget {BUDGET_SECONDS}s)"
     )
-    assert not cold.parse_errors
-    assert cold.ok, "\n".join(f.describe(root) for f in cold.findings)
-    assert cold.modules_reanalyzed == cold.files_checked
-
-    started = time.perf_counter()
-    warm = run_staticcheck(scope, root=root, rules=_DATAFLOW_RULES,
-                           cache_dir=cache_dir)
-    warm_s = time.perf_counter() - started
-    assert warm.modules_reanalyzed == 0, (
-        "warm run re-analyzed modules despite an unchanged tree"
-    )
-    assert warm.cache_hits == warm.files_checked
-    assert warm.ok
+    assert not result.parse_errors
+    assert result.ok, "\n".join(f.describe(root) for f in result.findings)
 
     # CFG construction throughput, measured apart from the solvers.
     functions = [
-        info.node for info in cold.program.functions.values()
+        info.node for info in result.program.functions.values()
         if isinstance(info.node, (ast.FunctionDef, ast.AsyncFunctionDef))
     ]
     started = time.perf_counter()
@@ -77,25 +57,22 @@ def test_dataflow_tier_cold_and_warm_under_budget(bench_record, tmp_path):
         edges += sum(len(s) for s in cfg.succs)
     cfg_s = time.perf_counter() - started
 
-    print(f"dataflow tier: {cold.files_checked} files cold {cold_s:.2f}s, "
-          f"warm {warm_s:.2f}s ({cold_s / max(warm_s, 1e-9):.1f}x); "
+    print(f"dataflow tier: {result.files_checked} files in {wall_s:.2f}s; "
           f"{len(functions)} CFGs, {blocks} blocks, {edges} edges "
           f"in {cfg_s:.2f}s")
     bench_record(
         "dataflow_tier",
         params={
-            "files": cold.files_checked,
+            "files": result.files_checked,
             "rules": ",".join(_DATAFLOW_RULES),
             "budget_s": BUDGET_SECONDS,
         },
         results={
-            "cold_s": round(cold_s, 4),
-            "warm_s": round(warm_s, 4),
-            "warm_reanalyzed": warm.modules_reanalyzed,
+            "wall_s": round(wall_s, 4),
             "cfg_functions": len(functions),
             "cfg_blocks": blocks,
             "cfg_edges": edges,
             "cfg_build_s": round(cfg_s, 4),
-            "findings": len(cold.findings),
+            "findings": len(result.findings),
         },
     )

@@ -5,13 +5,13 @@ developer-facing latency budget, not a nicety: the analyzer parses the
 entire tree **once**, builds the symbol table and call graph once, and
 runs every registered rule and pass over that shared program model.  The
 gate here asserts the whole pipeline — parse, call graph, float-taint
-fixpoint, determinism and pickle walks, the seven lint rules,
-fingerprinting and the baseline split — finishes the full repository
-(src/repro + tools + tests + benchmarks) in under ``BUDGET_SECONDS``.
+fixpoint, determinism walk, the dataflow tier, the five lexical rules
+and fingerprinting — finishes the full repository (src/repro + tools +
+tests + benchmarks) in under ``BUDGET_SECONDS``.
 
-The bench also asserts the run is *clean* (no non-baselined findings):
-a regression here means either new unvetted code or an analyzer change
-that started misfiring, and both should be loud.
+The bench also asserts the run is *clean* (no findings): a regression
+here means either new unvetted code or an analyzer change that started
+misfiring, and both should be loud.
 """
 
 from __future__ import annotations
@@ -73,6 +73,5 @@ def test_staticcheck_full_repo_under_budget(bench_record):
             "functions": len(program.functions),
             "classes": len(program.classes),
             "findings": len(result.findings),
-            "suppressed": len(result.suppressed),
         },
     )

@@ -65,7 +65,7 @@ def _field_order(cls: type) -> tuple[str, ...]:
     ))
     # Idempotent memo: the value is a pure function of ``cls``, so a
     # worker recomputing it writes the identical tuple the parent would.
-    _FIELD_ORDER_CACHE[cls] = order  # lint: effect-ok(worker-shared-state)
+    _FIELD_ORDER_CACHE[cls] = order
     return order
 
 
@@ -93,9 +93,7 @@ def canonical_event_bytes(event: TelemetryEvent) -> bytes:
     the full event corpus.
     """
     cls = type(event)
-    # Memo read: every entry is deterministic in ``cls`` (see
-    # ``_field_order``), so the cache key already covers it.
-    order = _FIELD_ORDER_CACHE.get(cls)  # lint: effect-ok(cache-key-completeness)
+    order = _FIELD_ORDER_CACHE.get(cls)
     if order is None:
         order = _field_order(cls)
     parts = []

@@ -24,8 +24,7 @@ Commands:
   ``simulate``/``experiment``/``sweep`` records one;
 * ``staticcheck`` — whole-program static analysis of this repository
   (interprocedural float-taint into the budget code, determinism of
-  digest-relevant code, worker picklability/purity, plus the per-module
-  lint rules), gated by the committed baseline;
+  digest-relevant code, plus the per-module lint rules);
 * ``exact`` — solve the micro-heap game exactly (optionally budgeted);
 * ``solve`` — the scaled exact solver with probe detail: canonical
   orbits, transposition tables, bracketed search, ``--jobs`` frontier
@@ -288,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     staticcheck = commands.add_parser(
         "staticcheck",
-        help="whole-program static analysis (taint/determinism/pickle + lint)",
+        help="whole-program static analysis (float-taint/determinism + lint)",
     )
     staticcheck.add_argument(
         "paths", nargs="*", default=None,
@@ -300,19 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     staticcheck.add_argument("--output", metavar="FILE", default=None,
                              help="write the report to FILE instead of stdout "
                                   "(a one-line summary still prints)")
-    staticcheck.add_argument("--baseline", metavar="FILE", default=None,
-                             help="baseline file (default: the committed "
-                                  ".staticcheck-baseline.json)")
-    staticcheck.add_argument("--no-baseline", action="store_true",
-                             help="ignore any baseline: report everything")
-    staticcheck.add_argument("--update-baseline", action="store_true",
-                             help="accept current findings into the baseline "
-                                  "file and exit 0; refuses to write entries "
-                                  "with placeholder justifications")
-    staticcheck.add_argument("--allow-unjustified", action="store_true",
-                             help="with --update-baseline: write the baseline "
-                                  "even if entries still carry the TODO "
-                                  "justification placeholder")
     staticcheck.add_argument("--rules", metavar="NAME,...", default=None,
                              help="run only these rules/passes (names or "
                                   "rule ids, comma-separated)")
@@ -321,14 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     staticcheck.add_argument("--max-findings", type=int, default=100,
                              help="findings to print before eliding "
                                   "(text format, default 100)")
-    staticcheck.add_argument("--jobs", type=int, default=1, metavar="N",
-                             help="worker processes for the module-rule "
-                                  "tier (default 1; output is byte-"
-                                  "identical across values)")
-    staticcheck.add_argument("--cache-dir", metavar="DIR", default=None,
-                             help="incremental cache directory: unchanged "
-                                  "modules reuse their cached findings, so "
-                                  "a warm run re-analyzes only edited files")
 
     exact = commands.add_parser("exact", help="micro-heap exact game value")
     exact.add_argument("--live", type=int, default=4)
@@ -745,8 +723,6 @@ def _cmd_staticcheck(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .staticcheck import rule_catalog, render_text, to_json, to_sarif
-    from .staticcheck.baseline import (DEFAULT_BASELINE_NAME,
-                                       UNJUSTIFIED_PLACEHOLDER, Baseline)
     from .staticcheck.runner import repo_root, run_staticcheck
 
     if args.list_rules:
@@ -783,70 +759,24 @@ def _cmd_staticcheck(args: argparse.Namespace) -> int:
                 extra = f" (reports: {ids})" if ids else ""
                 print(f"  {spec.name}{extra}", file=sys.stderr)
             return 2
-    jobs = max(1, args.jobs)
-    cache_dir = Path(args.cache_dir) if args.cache_dir else None
-    baseline_path = (Path(args.baseline) if args.baseline
-                     else root / DEFAULT_BASELINE_NAME)
-    baseline = Baseline() if args.no_baseline else None
-
-    if args.update_baseline:
-        result = run_staticcheck(paths, root=root, rules=rules,
-                                 baseline=Baseline(), jobs=jobs,
-                                 cache_dir=cache_dir)
-        previous = Baseline.load(baseline_path)
-        updated = Baseline.from_findings(result.findings, root,
-                                         previous=previous)
-        unjustified = updated.unjustified()
-        if unjustified and not args.allow_unjustified:
-            print(f"refusing to write {baseline_path}: "
-                  f"{len(unjustified)} entries lack a justification "
-                  f"(still {UNJUSTIFIED_PLACEHOLDER!r})", file=sys.stderr)
-            for entry in unjustified:
-                print(f"  {entry.rule} @ {entry.path}: {entry.message}",
-                      file=sys.stderr)
-            print("edit the justifications and re-run, or pass "
-                  "--allow-unjustified to write the placeholders anyway",
-                  file=sys.stderr)
-            return 1
-        updated.save(baseline_path)
-        note = (" (contains unjustified placeholder entries)"
-                if unjustified else "")
-        print(f"wrote {baseline_path} ({len(updated.entries)} entries)"
-              f"{note}; add a justification to every new entry")
-        return 0
-
-    result = run_staticcheck(paths, root=root, rules=rules,
-                             baseline=baseline, baseline_path=baseline_path,
-                             jobs=jobs, cache_dir=cache_dir)
-    if cache_dir is not None:
-        print(f"cache: {result.cache_hits} modules reused, "
-              f"{result.modules_reanalyzed} re-analyzed", file=sys.stderr)
+    result = run_staticcheck(paths, root=root, rules=rules)
     if args.format == "text":
-        document = render_text(result.findings, result.suppressed,
-                               len(result.stale_entries),
-                               result.files_checked, root,
+        document = render_text(result.findings, result.files_checked, root,
                                result.wall_seconds,
                                max_findings=args.max_findings)
     elif args.format == "json":
-        document = to_json(result.findings, result.suppressed,
-                           len(result.stale_entries), result.files_checked,
-                           root)
+        document = to_json(result.findings, result.files_checked, root)
     else:
-        document = to_sarif(result.findings, result.suppressed,
-                            rule_catalog(), root)
+        document = to_sarif(result.findings, rule_catalog(), root)
     if args.output:
         out = Path(args.output)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(document + "\n", encoding="utf-8")
         status = "FAIL" if result.findings else "OK"
         print(f"{status}: {result.files_checked} files checked, "
-              f"{len(result.findings)} findings "
-              f"({len(result.suppressed)} baselined) -> {out}")
+              f"{len(result.findings)} findings -> {out}")
     else:
         print(document)
-    for entry in result.stale_entries:
-        print(f"stale baseline entry: {entry.rule} @ {entry.path} "
-              f"({entry.fingerprint}) — remove it", file=sys.stderr)
     return result.exit_code
 
 

@@ -49,7 +49,6 @@ taken identically at every ``--jobs`` value.
 
 from __future__ import annotations
 
-import os
 import time
 from array import array
 from collections import deque
@@ -95,8 +94,6 @@ _SAFE_TT = 2      # known safe via the transposition table
 _SAFE = 3         # derived safe (manager keeps a safe placement)
 _WIN_TT = 4       # known winning via the transposition table
 
-_ENV_NO_NUMPY = "REPRO_SOLVER_NUMPY"
-
 
 def request_sizes(max_object: int, power_of_two_sizes: bool) -> tuple[int, ...]:
     """The request-size family (mirrors ``GameConfig.sizes``)."""
@@ -125,18 +122,6 @@ def formula_guess(live_bound: int, max_object: int) -> int:
         live_bound,
         live_bound * (log_n + 2) // 2 - max_object + 1,
     )
-
-
-def _numpy_csr_enabled() -> bool:
-    """Whether the vectorized CSR successor kernel is allowed.
-
-    Value-neutral by contract: both backends are pinned byte-identical
-    by the parity suites, so the toggle may stay out of the result
-    cache key (``StaticCheckConfig.cache_neutral_env_vars`` declares
-    ``REPRO_SOLVER_NUMPY``; the ``cache-key-completeness`` rule holds
-    every other env read in solve scope to the digest).
-    """
-    return os.environ.get(_ENV_NO_NUMPY, "1") != "0"
 
 
 # ---------------------------------------------------------------------------
@@ -1082,26 +1067,26 @@ def _reverse_csr(
     """Predecessor lists in CSR form, grouped by destination.
 
     Stable in edge-insertion order within each destination, so the
-    numpy fast path (stable argsort) and the pure-Python counting sort
-    produce identical attractor traversals.
+    numpy fast path (stable argsort, taken whenever numpy imports) and
+    the pure-Python counting sort (the reference, and the numpy-free
+    path) produce identical attractor traversals.
     """
     edge_count = len(edge_dst)
     if edge_count == 0:
         return [0] * (node_count + 1), []
-    if _numpy_csr_enabled():
-        try:
-            import numpy
-        except ImportError:
-            numpy = None
-        if numpy is not None:
-            dst = numpy.frombuffer(edge_dst, dtype=numpy.int64)
-            src = numpy.frombuffer(edge_src, dtype=numpy.int64)
-            order = numpy.argsort(dst, kind="stable")
-            rev = src[order].tolist()
-            counts = numpy.bincount(dst, minlength=node_count)
-            offsets_array = numpy.zeros(node_count + 1, dtype=numpy.int64)
-            numpy.cumsum(counts, out=offsets_array[1:])
-            return offsets_array.tolist(), rev
+    try:
+        import numpy
+    except ImportError:
+        numpy = None
+    if numpy is not None:
+        dst = numpy.frombuffer(edge_dst, dtype=numpy.int64)
+        src = numpy.frombuffer(edge_src, dtype=numpy.int64)
+        order = numpy.argsort(dst, kind="stable")
+        rev = src[order].tolist()
+        counts = numpy.bincount(dst, minlength=node_count)
+        offsets_array = numpy.zeros(node_count + 1, dtype=numpy.int64)
+        numpy.cumsum(counts, out=offsets_array[1:])
+        return offsets_array.tolist(), rev
     counts = [0] * (node_count + 1)
     for dst_node in edge_dst:
         counts[dst_node + 1] += 1

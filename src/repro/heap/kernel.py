@@ -88,10 +88,8 @@ def resolve_kernel(name: str | None = None) -> str:
     Cache-key contract: the env read below is reachable from cached
     task results, which is sound only because ``SimTask.build`` resolves
     the kernel parent-side into ``SimTask.kernel`` — part of the task
-    digest.  ``REPRO_KERNEL`` is declared in
-    ``StaticCheckConfig.cache_keyed_env_vars``; the staticcheck
-    ``cache-key-completeness`` rule flags any *new* env read here that
-    lacks such a declaration.
+    digest.  ``tests/parallel/test_env_reads.py`` fails on any other
+    environment read under ``src/repro``.
     """
     if name is None:
         name = os.environ.get(KERNEL_ENV_VAR) or (

@@ -350,10 +350,8 @@ class Tracer:
 
 
 #: A process-wide disabled tracer, for call sites that want a tracer
-#: object unconditionally.  ``Tracer`` is a declared resource class
-#: (``StaticCheckConfig.resource_classes``): this binding predates any
-#: pool fork, so worker-side code must construct its own tracer instead
-#: of touching it — enforced by the ``fork-unsafe-resource`` rule.
+#: object unconditionally.  This binding predates any pool fork, so
+#: worker-side code constructs its own tracer instead of touching it.
 NULL_TRACER = Tracer(enabled=False)
 
 

@@ -102,14 +102,10 @@ class ParallelEngine:
         sweep's timeline renders next to a serial run's.  Digest-neutral
         like all tracing.
 
-    Statically enforced contracts (``repro staticcheck``, concurrency
-    tier): code reachable from the worker entry points must not write
-    shared state (``worker-shared-state``) or touch module-level
-    resources created before the fork (``fork-unsafe-resource``), and
-    the merge paths here — :meth:`run`, :meth:`map`,
-    ``_adopt_traces`` — must not iterate unordered containers of
-    worker output (``merge-order``); together they are the static half
-    of the byte-identical serial/parallel guarantee.
+    Serial and parallel runs are byte-identical: results merge in task
+    order, and ``tests/parallel/test_engine.py`` pins the grid digests
+    equal at jobs 1, 2 and 4 (``tests/exact/test_solver.py`` does the
+    same for the solver's frontier fan-out through :meth:`map`).
     """
 
     jobs: int = 1

@@ -411,14 +411,13 @@ def run_task(task: SimTask, record_root: str | None = None,
     ``perf_counter_ns`` is CLOCK_MONOTONIC on Linux, shared across
     forked workers, so worker timestamps land on the parent's axis.
 
-    This function roots two statically-checked scopes (``repro
-    staticcheck``, concurrency tier): everything reachable from here
-    runs in a forked worker, so it must not write shared mutable state
-    or touch pre-fork module-level resources (``worker-shared-state``,
-    ``fork-unsafe-resource``); and because the returned
-    :class:`TaskResult` is cached under the task's cache key, reachable
-    code must not read environment variables or runtime globals that
-    the key omits (``cache-key-completeness``).
+    Everything reachable from here runs in a forked worker, and the
+    returned :class:`TaskResult` is cached under the task's cache key,
+    so reachable code must not read inputs the key omits:
+    ``TestTaskDigest`` pins every task field into the key, and
+    ``tests/parallel/test_env_reads.py`` holds every environment read
+    under ``src/repro`` to ``REPRO_KERNEL``, which ``SimTask.kernel``
+    carries.
     """
     params = task.params
     program = make_program(task.program, params, **task.options_dict())

@@ -1,39 +1,34 @@
 """Whole-program static analysis for the reproduction's own invariants.
 
-Generic linters check style; this package proves repository-specific
-properties the paper's claims rest on, *interprocedurally*:
+Generic linters check style; this package proves the code properties
+the paper's reproduced numbers rest on, on every path, where the
+runtime gates can only sample them:
 
-* **float-taint** (:mod:`~repro.staticcheck.taint`) — no float value,
-  produced anywhere in the program, reaches the budget-critical code
-  whose comparisons Theorem 1 makes ULP-tight;
+* **float-taint** (:mod:`~repro.staticcheck.taint`) and its lexical
+  twin **no-float** — no float value, produced anywhere in the program,
+  reaches the budget-critical code whose comparisons Theorem 1 makes
+  ULP-tight;
 * **determinism** (:mod:`~repro.staticcheck.determinism`) — code that
   can reach an event emission or digest is free of iteration-order,
   identity, environment and wall-clock nondeterminism;
-* **pickle** (:mod:`~repro.staticcheck.picklecheck`) — task specs are
-  picklable and worker-reachable code never mutates module state;
 * the **dataflow tier** (:mod:`~repro.staticcheck.cfg`,
   :mod:`~repro.staticcheck.dataflow`) — per-function control-flow
-  graphs and a generic worklist solver feeding four flow-sensitive
-  passes: **budget-range** (:mod:`~repro.staticcheck.budget_range`,
-  interval analysis proving ledger counters non-negative and the
-  cross-multiplication exact), **invariant-safety**, **alias-escape**
-  and **dead-flow** (:mod:`~repro.staticcheck.flowpasses`);
-* the **concurrency tier** (:mod:`~repro.staticcheck.effects`,
-  :mod:`~repro.staticcheck.concurrency`) — per-function effect
-  summaries iterated to fixpoint (shared-state writes, env/time/RNG/
-  filesystem reads, resource acquisition) feeding four passes:
-  **worker-shared-state**, **fork-unsafe-resource**,
-  **cache-key-completeness** and **merge-order** — the static proof
-  behind the engine's byte-identical serial/parallel contract;
-* the seven per-module lint rules migrated from ``tools/lint_repro.py``
-  (:mod:`~repro.staticcheck.rules_lint`).
+  graphs and a worklist solver feeding three flow-sensitive passes:
+  **budget-range** (:mod:`~repro.staticcheck.budget_range`, interval
+  analysis proving ledger counters non-negative and the
+  cross-multiplication exact), **invariant-safety** and
+  **alias-escape** (:mod:`~repro.staticcheck.flowpasses`, the heap
+  index's paired updates and internals);
+* four more cheap per-module rules (:mod:`~repro.staticcheck.rules_lint`):
+  **unseeded-random**, **event-registry**, **all-consistency** and
+  **interval-internals**.
 
 Everything registers into one plugin registry
 (:data:`~repro.staticcheck.base.RULE_REGISTRY`); ``repro staticcheck``
-runs it all, gated by a committed baseline of justified suppressions.
-See ``docs/static-analysis.md`` for the architecture and the rule
-catalog, and :mod:`repro.staticcheck.fixtures` for the known-bad corpus
-proving each pass actually fires.
+runs it all, and pragmas are the only suppression mechanism.  See
+``docs/static-analysis.md`` for the rule catalog and the audit that
+decided which rules stay, and :mod:`repro.staticcheck.fixtures` for the
+known-bad corpus proving each rule actually fires.
 """
 
 from .base import (
@@ -45,21 +40,15 @@ from .base import (
     program_pass,
     rule_catalog,
 )
-from .baseline import Baseline, BaselineEntry
-from .cache import ModuleCache, package_fingerprint
 from .callgraph import CallGraph, build_call_graph
 from .cfg import CFG, Block, build_cfg
-from .concurrency import effect_exempt_lines
 from .dataflow import (
     DataflowAnalysis,
     IntervalAnalysis,
     IntervalState,
     IntRange,
-    Liveness,
-    ReachingDefinitions,
     solve,
 )
-from .effects import Effect, EffectAnalysis, EffectSummary, effect_analysis
 from .model import FunctionInfo, ModuleInfo, Program, module_name_for
 from .output import render_text, to_json, to_sarif
 from .runner import (
@@ -77,17 +66,8 @@ __all__ = [
     "module_rule",
     "program_pass",
     "rule_catalog",
-    "Baseline",
-    "BaselineEntry",
-    "ModuleCache",
-    "package_fingerprint",
     "CallGraph",
     "build_call_graph",
-    "Effect",
-    "EffectAnalysis",
-    "EffectSummary",
-    "effect_analysis",
-    "effect_exempt_lines",
     "CFG",
     "Block",
     "build_cfg",
@@ -95,8 +75,6 @@ __all__ = [
     "IntervalAnalysis",
     "IntervalState",
     "IntRange",
-    "Liveness",
-    "ReachingDefinitions",
     "solve",
     "FunctionInfo",
     "ModuleInfo",

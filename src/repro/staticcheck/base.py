@@ -2,15 +2,14 @@
 
 Everything the analyzer reports is a :class:`Finding` — one violation of
 one named rule, anchored to a file/line and (when known) the enclosing
-function, carrying a *stable fingerprint* so a baseline file can suppress
-it across unrelated edits.  Rules come in two shapes:
+function, carrying a *stable fingerprint* that SARIF viewers use to
+track it across unrelated edits.  Rules come in two shapes:
 
-* **module rules** look at one parsed module at a time (the seven rules
-  migrated from ``tools/lint_repro.py`` live here — see
-  :mod:`repro.staticcheck.rules_lint`);
+* **module rules** look at one parsed module at a time (the lexical
+  rules in :mod:`repro.staticcheck.rules_lint`);
 * **program passes** see the whole :class:`~repro.staticcheck.model.Program`
   at once — symbol tables and the call graph — and can therefore reason
-  *interprocedurally* (float-taint, determinism, picklability).
+  *interprocedurally* (float-taint, determinism, budget-range).
 
 Both register into one :data:`RULE_REGISTRY` via the
 :func:`module_rule` / :func:`program_pass` decorators, so the runner,
@@ -21,11 +20,11 @@ Pragmas
 
 A finding is suppressed in source with a trailing comment pragma
 (``# lint: float-ok``, ``# lint: determinism-ok``, ``# lint:
-pickle-ok``).  Pragma scope is the **innermost statement** covering the
-pragma's line: on a multi-line expression the pragma may sit on *any*
-line of the statement — including the closing-paren line — and the whole
-statement is exempt.  (The old per-line rule only honoured the exact
-line carrying the float literal; see ``exempt_lines``.)
+invariant-ok``); pragmas are the only suppression mechanism.  Pragma
+scope is the **innermost statement** covering the pragma's line: on a
+multi-line expression the pragma may sit on *any* line of the statement
+— including the closing-paren line — and the whole statement is exempt
+(see ``exempt_lines``).
 """
 
 from __future__ import annotations
@@ -53,14 +52,10 @@ __all__ = [
     "rule_catalog",
     "pragma_lines",
     "exempt_lines",
-    "statement_spans",
     "fingerprint_findings",
     "FLOAT_OK_PRAGMA",
     "DETERMINISM_OK_PRAGMA",
-    "PICKLE_OK_PRAGMA",
     "INVARIANT_OK_PRAGMA",
-    "DEADFLOW_OK_PRAGMA",
-    "EFFECT_OK_PRAGMA",
     "TIERS",
 ]
 
@@ -69,21 +64,11 @@ __all__ = [
 FLOAT_OK_PRAGMA = "lint: float-ok"
 #: Pragma suppressing the determinism pass.
 DETERMINISM_OK_PRAGMA = "lint: determinism-ok"
-#: Pragma suppressing the picklability/purity pass.
-PICKLE_OK_PRAGMA = "lint: pickle-ok"
 #: Pragma suppressing the invariant-safety exception-path pass.
 INVARIANT_OK_PRAGMA = "lint: invariant-ok"
-#: Pragma suppressing the dead-flow pass (dead stores / unreachable code).
-DEADFLOW_OK_PRAGMA = "lint: deadflow-ok"
-#: Pragma family suppressing the concurrency tier.  Bare
-#: ``# lint: effect-ok`` silences every concurrency rule on the
-#: statement; ``# lint: effect-ok(worker-shared-state)`` silences one
-#: rule only (see :func:`repro.staticcheck.concurrency.effect_exempt_lines`
-#: — plain substring matching cannot tell the two forms apart).
-EFFECT_OK_PRAGMA = "lint: effect-ok"
 
 #: Analysis tiers, in the order the rule catalog presents them.
-TIERS = ("lexical", "interprocedural", "dataflow", "concurrency")
+TIERS = ("lexical", "interprocedural", "dataflow")
 
 
 class Severity:
@@ -100,8 +85,8 @@ class Finding:
 
     ``fingerprint`` is filled in by :func:`fingerprint_findings` — it
     hashes the rule, file, enclosing symbol and message (plus an
-    occurrence index for duplicates), *not* the line number, so a
-    baseline entry survives unrelated edits above the finding.
+    occurrence index for duplicates), *not* the line number, so the
+    identity survives unrelated edits above the finding.
     """
 
     path: Path
@@ -204,20 +189,9 @@ def exempt_lines(tree: "ast.Module", source: str, pragma: str) -> set[int]:
     ``if`` header from silencing the whole suite below it: only when no
     simple statement covers the line does the compound statement win.
     """
-    carriers = pragma_lines(source, pragma)
-    return statement_spans(tree, carriers)
-
-
-def statement_spans(tree: "ast.Module", carriers: set[int]) -> set[int]:
-    """Expand pragma-carrier lines to their covering statement spans.
-
-    The span half of :func:`exempt_lines`, exposed separately so passes
-    with *parametrized* pragmas (``# lint: effect-ok(<rule>)``) can
-    classify the carrier lines themselves and still inherit the exact
-    statement-span semantics every other pragma has.
-    """
     import ast
 
+    carriers = pragma_lines(source, pragma)
     if not carriers:
         return set()
     # (span start, span end, last exempted line): a simple statement
@@ -255,7 +229,7 @@ def statement_spans(tree: "ast.Module", carriers: set[int]) -> set[int]:
 
 @dataclass(frozen=True)
 class StaticCheckConfig:
-    """What the passes treat as sinks, entry points and scopes.
+    """What the passes treat as sinks and scopes.
 
     Paths are repo-root-relative POSIX strings so the same config works
     on the real tree and on synthetic fixture programs (whose "files"
@@ -269,16 +243,6 @@ class StaticCheckConfig:
     )
     #: Budget-critical directories (every module beneath them is a sink).
     float_sink_dirs: tuple[str, ...] = ("src/repro/exact",)
-    #: Functions executed inside worker processes; everything reachable
-    #: from them must be pure and picklable.
-    worker_entry_points: tuple[str, ...] = (
-        "repro.parallel.tasks.run_task",
-    )
-    #: Task-spec classes whose fields cross the process boundary.
-    task_classes: tuple[str, ...] = (
-        "repro.parallel.tasks.SimTask",
-        "repro.parallel.tasks.TaskResult",
-    )
     #: Attribute names whose call marks a function as event-emitting:
     #: the bus's fan-out point and its per-kind producers.
     emit_attr_names: tuple[str, ...] = (
@@ -286,6 +250,8 @@ class StaticCheckConfig:
         "emit_stage", "emit_charge",
     )
     #: Fully qualified digest helpers (callers become digest-relevant).
+    #: Each name's last segment is also matched as an attribute call,
+    #: so ``bus.tape.digest()`` counts without knowing the receiver.
     digest_functions: tuple[str, ...] = (
         "repro.check.determinism.canonical_event_bytes",
         "repro.check.determinism.event_stream_digest",
@@ -309,54 +275,6 @@ class StaticCheckConfig:
     invariant_scope_dirs: tuple[str, ...] = (
         "src/repro/heap",
         "src/repro/mm",
-    )
-    #: Functions dispatched through ``ParallelEngine.map`` (as opposed
-    #: to the ``run_task`` entry in ``worker_entry_points``); together
-    #: they root the concurrency tier's worker-reachable scope.
-    worker_map_functions: tuple[str, ...] = (
-        "repro.staticcheck.runner._analyze_module_payload",
-        "repro.exact.solver._expand_shard",
-    )
-    #: Functions whose return value lands in the content-addressed
-    #: ``ResultCache`` — every input they (transitively) consult must be
-    #: part of the task digest, or the cache serves stale results.
-    cached_result_functions: tuple[str, ...] = (
-        "repro.parallel.tasks.run_task",
-        "repro.parallel.tasks.run_solve_task",
-    )
-    #: Environment variables that *do* flow into the cache key: resolved
-    #: parent-side into a task field (``SimTask.kernel`` carries
-    #: ``REPRO_KERNEL``), so a read in cached scope is already keyed.
-    cache_keyed_env_vars: tuple[str, ...] = ("REPRO_KERNEL",)
-    #: Environment variables declared value-neutral: they may toggle an
-    #: internal backend but provably never change a cached result
-    #: (``REPRO_SOLVER_NUMPY`` switches the CSR successor kernel, whose
-    #: outputs the parity suites pin byte-identical to the reference).
-    cache_neutral_env_vars: tuple[str, ...] = ("REPRO_SOLVER_NUMPY",)
-    #: External callables whose module-level call binds a process-wide
-    #: resource (fork-hostile: the child inherits the parent's copy).
-    resource_factories: tuple[str, ...] = (
-        "open", "threading.Lock", "threading.RLock",
-        "threading.Condition", "threading.Semaphore",
-        "threading.BoundedSemaphore", "threading.Event",
-        "socket.socket", "random.Random",
-    )
-    #: Program classes whose instances hold fork-hostile state (locks,
-    #: buffers, sinks) when constructed at module level, pre-fork.
-    resource_classes: tuple[str, ...] = (
-        "repro.obs.trace.Tracer",
-        "repro.obs.events.EventBus",
-    )
-    #: Reducer/merge functions fed by *ordered* parallel results; they
-    #: must not iterate unordered containers of worker output.
-    merge_functions: tuple[str, ...] = (
-        "repro.parallel.engine.ParallelEngine.run",
-        "repro.parallel.engine.ParallelEngine.map",
-        "repro.parallel.engine.ParallelEngine._adopt_traces",
-        "repro.exact.solver.GameSolver._expand_epoch",
-        "repro.staticcheck.runner._run_rules",
-        "repro.analysis.sweep.simulation_sweep",
-        "repro.analysis.experiments._engine_rows",
     )
 
     def in_invariant_scope(self, relpath: str) -> bool:
@@ -439,9 +357,7 @@ def program_pass(name: str, description: str,
 def rule_catalog() -> list[RuleSpec]:
     """Every registered spec (importing the rule modules first)."""
     # Import for side effects: each module registers its rules on import.
-    from . import (budget_range, concurrency, determinism, flowpasses,
-                   picklecheck, rules_lint, taint)
+    from . import budget_range, determinism, flowpasses, rules_lint, taint
 
-    _ = (budget_range, concurrency, determinism, flowpasses, picklecheck,
-         rules_lint, taint)
+    _ = (budget_range, determinism, flowpasses, rules_lint, taint)
     return list(RULE_REGISTRY.values())

@@ -10,10 +10,9 @@ remembered by attribute name (``.emit``) — enough for the determinism
 pass to treat ``self.observer.emit(...)`` as an emission site without
 knowing the observer's class.
 
-The graph exposes forward reachability (:meth:`CallGraph.reachable`,
-used by the picklability pass from worker entry points) and reverse
-reachability (:meth:`CallGraph.can_reach`, used by the determinism pass
-to find everything that can emit into the digest).
+The graph exposes per-function call sites (the float-taint pass walks
+them) and reverse reachability (:meth:`CallGraph.can_reach`, used by
+the determinism pass to find everything that can emit into the digest).
 """
 
 from __future__ import annotations
@@ -74,18 +73,6 @@ class CallGraph:
                     reverse.setdefault(target, set()).add(caller)
             self._reverse = reverse
         return self._reverse.get(callee, set())
-
-    def reachable(self, roots: Iterable[str]) -> set[str]:
-        """Forward closure: every function reachable from ``roots``."""
-        seen: set[str] = set()
-        stack = [root for root in roots]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(self.edges.get(current, ()))
-        return seen
 
     def can_reach(self, targets: set[str], *,
                   attr_targets: frozenset[str] = frozenset()) -> set[str]:

@@ -4,12 +4,12 @@ The runtime determinism checker (``repro check --replay``) proves a
 *given* run was reproducible; this pass proves the *code* cannot emit a
 nondeterministic event stream in the first place.  "Digest-relevant"
 means: every function that can transitively reach an event emission
-(``EventBus.emit`` or a per-kind producer such as ``emit_alloc`` —
-matched by attribute name, so ``self.observer.emit_charge(...)`` counts
-without knowing the observer's class) or one of the canonical digest
-helpers (:mod:`repro.check.determinism`, ``EventTape.digest``).
-Reachability is computed over the
-whole-program call graph, so a nondeterministic helper three calls
+(``EventBus.emit`` or a per-kind producer such as ``emit_alloc``) or
+one of the canonical digest helpers (:mod:`repro.check.determinism`,
+``EventTape.digest``).  Both are also matched by attribute name, so
+``self.observer.emit_charge(...)`` and ``bus.tape.digest()`` count
+without knowing the receiver's class.  Reachability is computed over
+the whole-program call graph, so a nondeterministic helper three calls
 upstream of the emission is still in scope.
 
 Inside that scope the pass flags:
@@ -85,10 +85,15 @@ class DeterminismAnalysis:
             resolved for name in config.digest_functions
             if (resolved := program.resolve_symbol(name)) is not None
         )
+        # The tape digest is a method reached through attribute chains
+        # (``bus.tape.digest()``, ``tape.digest()``) whose receivers the
+        # call graph cannot type, so digest names match by attribute
+        # like the emitters do.
+        attr_targets = frozenset(config.emit_attr_names).union(
+            name.rsplit(".", 1)[-1] for name in config.digest_functions)
         #: Functions that can transitively reach an emission or digest.
         self.relevant: set[str] = self.graph.can_reach(
-            targets, attr_targets=frozenset(config.emit_attr_names)
-        )
+            targets, attr_targets=attr_targets)
         self.relevant.update(targets & set(program.functions))
 
     def findings(self) -> Iterator[Finding]:

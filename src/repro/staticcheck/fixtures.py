@@ -1,4 +1,4 @@
-"""Known-bad programs every analysis pass must provably flag.
+"""Known-bad programs every rule must provably flag.
 
 The runtime checkers have :mod:`repro.check.fixtures` — corrupted event
 streams each sanitizer rule must catch; this is the same idea one level
@@ -6,7 +6,7 @@ up.  Each fixture here is a tiny in-memory program (a ``{relpath:
 source}`` mapping laid out like the real tree, so the default
 :class:`~repro.staticcheck.base.StaticCheckConfig` applies unchanged)
 seeded with exactly one bug of a known class, plus the rule id that must
-fire on it.  ``tests/staticcheck/test_fixtures.py`` runs the whole
+fire on it.  ``tests/staticcheck/test_corpus.py`` runs the whole
 matrix both ways: the bad program must produce the expected rule, and
 the ``fixed`` variant (where provided) must come back clean — mutation
 testing for the analyzer itself, so a pass that silently stops firing
@@ -422,142 +422,59 @@ _FIXTURE_SET_INTO_TAPE = StaticFixture(
     },
 )
 
-
-# ---------------------------------------------------------------------------
-# pickle pass
-# ---------------------------------------------------------------------------
-
-#: The worker module skeleton shared by the pickle fixtures.
-_FIXTURE_UNPICKLABLE_FIELD = StaticFixture(
-    name="unpicklable-task-field",
+_FIXTURE_SET_BEFORE_TAPE_DIGEST = StaticFixture(
+    name="set-iteration-before-tape-digest",
     description=(
-        "a SimTask field annotated Callable: the spec would fail (or "
-        "worse, partially survive) pickling into the worker pool"
+        "a replay helper folds a set of manager names into its run order "
+        "and then hashes through an attribute chain (bus.tape.digest()): "
+        "the call graph cannot type the receiver, so the digest method "
+        "must still mark the function digest-relevant by name"
     ),
-    pass_name="pickle",
-    expect_rule="unpicklable-field",
-    expect_symbol="repro.parallel.tasks.SimTask",
+    pass_name="determinism",
+    expect_rule="unordered-iteration",
+    expect_symbol="repro.check.replay.replay_all",
     files={
-        "src/repro/parallel/tasks.py": _src("""
-            from dataclasses import dataclass
-            from typing import Callable
-
-
-            @dataclass(frozen=True)
-            class SimTask:
-                seed: int
-                on_done: Callable[[int], None]
-
-
-            def run_task(task: SimTask):
-                return task.seed
+        "src/repro/check/replay.py": _src("""
+            def replay_all(bus, run, managers):
+                for name in set(managers):
+                    run(bus, name)
+                return bus.tape.digest()
         """),
     },
     fixed_files={
-        "src/repro/parallel/tasks.py": _src("""
-            from dataclasses import dataclass
-
-
-            @dataclass(frozen=True)
-            class SimTask:
-                seed: int
-                done_event: str
-
-
-            def run_task(task: SimTask):
-                return task.seed
+        "src/repro/check/replay.py": _src("""
+            def replay_all(bus, run, managers):
+                for name in sorted(set(managers)):
+                    run(bus, name)
+                return bus.tape.digest()
         """),
     },
 )
 
-_FIXTURE_LAMBDA_DEFAULT = StaticFixture(
-    name="lambda-default-field",
+_FIXTURE_ENV_READ = StaticFixture(
+    name="env-read-before-emit",
     description=(
-        "a task-spec field defaulting to a lambda — unpicklable even "
-        "though the annotation looks innocent"
+        "a program step reads an environment variable to size its "
+        "requests: two runs of one seed in different shells emit "
+        "different streams, and no cache key would tell them apart"
     ),
-    pass_name="pickle",
-    expect_rule="unpicklable-field",
-    expect_symbol="repro.parallel.tasks.SimTask",
+    pass_name="determinism",
+    expect_rule="env-read",
+    expect_symbol="repro.adversary.sizing.emit_request",
     files={
-        "src/repro/parallel/tasks.py": _src("""
-            from dataclasses import dataclass
+        "src/repro/adversary/sizing.py": _src("""
+            import os
 
 
-            @dataclass
-            class SimTask:
-                seed: int
-                keyfn: object = lambda x: x
-
-
-            def run_task(task: SimTask):
-                return task.seed
-        """),
-    },
-)
-
-_FIXTURE_WORKER_MUTATION = StaticFixture(
-    name="worker-global-mutation",
-    description=(
-        "worker-reachable code (two hops below run_task) appends to a "
-        "module-level list: per-process copies diverge silently and "
-        "results depend on chunk scheduling"
-    ),
-    pass_name="pickle",
-    expect_rule="worker-global-mutation",
-    expect_symbol="repro.parallel.stats.record",
-    files={
-        "src/repro/parallel/tasks.py": _src("""
-            from repro.parallel.stats import record
-
-
-            def run_task(task):
-                record(task)
-                return task
-        """),
-        "src/repro/parallel/stats.py": _src("""
-            HISTORY = []
-
-
-            def record(task):
-                HISTORY.append(task)
+            def emit_request(bus, object_id, address):
+                size = int(os.environ.get("REPRO_SIZE", "8"))
+                bus.emit_alloc(object_id, size, address)
         """),
     },
     fixed_files={
-        "src/repro/parallel/tasks.py": _src("""
-            from repro.parallel.stats import record
-
-
-            def run_task(task):
-                return record(task)
-        """),
-        "src/repro/parallel/stats.py": _src("""
-            def record(task):
-                history = []
-                history.append(task)
-                return history
-        """),
-    },
-)
-
-_FIXTURE_WORKER_GLOBAL = StaticFixture(
-    name="worker-global-assign",
-    description=(
-        "run_task itself rebinds a module global via a ``global`` "
-        "declaration — the canonical worker-state bug"
-    ),
-    pass_name="pickle",
-    expect_rule="worker-global-mutation",
-    expect_symbol="repro.parallel.tasks.run_task",
-    files={
-        "src/repro/parallel/tasks.py": _src("""
-            COUNTER = 0
-
-
-            def run_task(task):
-                global COUNTER
-                COUNTER = COUNTER + 1
-                return COUNTER
+        "src/repro/adversary/sizing.py": _src("""
+            def emit_request(bus, object_id, address, size):
+                bus.emit_alloc(object_id, size, address)
         """),
     },
 )
@@ -871,414 +788,219 @@ _FIXTURE_INTERNAL_ESCAPE = StaticFixture(
 
 
 # ---------------------------------------------------------------------------
-# dead-flow pass (unreachable code, dead stores)
+# lexical rules
 # ---------------------------------------------------------------------------
 
-_FIXTURE_DEAD_STORE = StaticFixture(
-    name="dead-store-overwritten",
+_FIXTURE_NO_FLOAT_DIVISION = StaticFixture(
+    name="float-division-in-budget",
     description=(
-        "a binding computed from a call is overwritten before any read "
-        "on any path: backward liveness proves the store dead (the call "
-        "may still matter — the finding says keep the call, drop the "
-        "binding)"
+        "the ledger compares a true-division quotient against the "
+        "budget: one ULP of rounding flips the boundary decision"
     ),
-    pass_name="dead-flow",
-    expect_rule="dead-store",
-    expect_symbol="repro.sim.planner.plan_total",
-    files={
-        "src/repro/sim/planner.py": _src("""
-            def checksum(n):
-                return n * 31
-
-
-            def plan_total(n):
-                total = checksum(n)
-                total = 0
-                for step in range(n):
-                    total += step
-                return total
-        """),
-    },
-    fixed_files={
-        "src/repro/sim/planner.py": _src("""
-            def checksum(n):
-                return n * 31
-
-
-            def plan_total(n):
-                checksum(n)
-                total = 0
-                for step in range(n):
-                    total += step
-                return total
-        """),
-    },
+    pass_name="no-float",
+    expect_rule="no-float",
+    files={"src/repro/mm/budget.py": _src("""
+        def can_move(moved: int, allocated: int, c: int) -> bool:
+            return moved <= allocated / c
+    """)},
+    fixed_files={"src/repro/mm/budget.py": _src("""
+        def can_move(moved: int, allocated: int, c: int) -> bool:
+            return moved * c <= allocated
+    """)},
 )
 
-_FIXTURE_UNREACHABLE_TAIL = StaticFixture(
-    name="unreachable-after-return",
+_FIXTURE_NO_FLOAT_LITERAL = StaticFixture(
+    name="float-literal-in-exact",
     description=(
-        "cleanup code stranded after an unconditional return: no CFG "
-        "path from the function entry reaches it, so the close never "
-        "runs"
+        "a solver module under src/repro/exact/ scales a heap size by a "
+        "float literal; the fixed variant marks a display-only float "
+        "with the pragma"
     ),
-    pass_name="dead-flow",
-    expect_rule="unreachable-code",
-    expect_symbol="repro.sim.reporter.finish",
-    files={
-        "src/repro/sim/reporter.py": _src("""
-            def finish(report):
-                return report.total
-                report.close()
-        """),
-    },
-    fixed_files={
-        "src/repro/sim/reporter.py": _src("""
-            def finish(report):
-                report.close()
-                return report.total
-        """),
-    },
+    pass_name="no-float",
+    expect_rule="no-float",
+    files={"src/repro/exact/search.py": _src("""
+        def ceiling(words: int) -> int:
+            return int(words * 1.5)
+    """)},
+    fixed_files={"src/repro/exact/search.py": _src("""
+        def ceiling(words: int) -> int:
+            return words * 3 // 2
+
+
+        def describe(words: int, live: int) -> str:
+            return f"{words / live:.2f} x M"  # lint: float-ok
+    """)},
 )
 
-
-# ---------------------------------------------------------------------------
-# worker-shared-state pass (concurrency tier)
-# ---------------------------------------------------------------------------
-
-_FIXTURE_WORKER_CLASS_ATTR = StaticFixture(
-    name="worker-class-attr-write",
+_FIXTURE_GLOBAL_RANDOM_CALL = StaticFixture(
+    name="global-random-draw",
     description=(
-        "run_task bumps a counter stored as a *class* attribute: shared "
-        "across every instance in a process, never shared back across "
-        "the pool fork — serial and parallel totals silently diverge"
+        "a workload draws from the hidden module-level RNG, so two runs "
+        "with the same seed can emit different streams"
     ),
-    pass_name="worker-shared-state",
-    expect_rule="worker-shared-state",
-    expect_symbol="repro.parallel.tasks.run_task",
-    files={
-        "src/repro/parallel/tasks.py": _src("""
-            class TaskStats:
-                completed = 0
+    pass_name="unseeded-random",
+    expect_rule="unseeded-random",
+    files={"src/repro/adversary/churn.py": _src("""
+        import random
 
 
-            def run_task(task):
-                TaskStats.completed = TaskStats.completed + 1
-                return task
-        """),
-    },
-    fixed_files={
-        "src/repro/parallel/tasks.py": _src("""
-            class TaskStats:
-                completed = 0
+        def next_size(max_object: int) -> int:
+            return random.randint(1, max_object)
+    """)},
+    fixed_files={"src/repro/adversary/churn.py": _src("""
+        import random
 
 
-            def run_task(task):
-                return (task, 1)
-        """),
-    },
+        def next_size(rng: random.Random, max_object: int) -> int:
+            return rng.randint(1, max_object)
+    """)},
 )
 
-_FIXTURE_WORKER_PARAM_MUTATION = StaticFixture(
-    name="worker-param-mutation",
-    description=(
-        "run_task passes an *imported* module-level dict into a helper "
-        "that stores through the matching parameter: neither function "
-        "alone looks wrong, only the summary fixpoint (helper mutates "
-        "its param) composed with the call-site binding exposes the "
-        "shared write"
-    ),
-    pass_name="worker-shared-state",
-    expect_rule="worker-shared-state",
-    expect_symbol="repro.parallel.tasks.run_task",
-    files={
-        "src/repro/parallel/registry.py": _src("""
-            SEEN = {}
+_FIXTURE_GLOBAL_RANDOM_IMPORT = StaticFixture(
+    name="global-random-import",
+    description="importing shuffle from random binds the global RNG",
+    pass_name="unseeded-random",
+    expect_rule="unseeded-random",
+    files={"src/repro/adversary/order.py": _src("""
+        from random import shuffle
 
 
-            def remember(store, task):
-                store[task] = True
-        """),
-        "src/repro/parallel/tasks.py": _src("""
-            from repro.parallel.registry import SEEN, remember
+        def reorder(items):
+            shuffle(items)
+    """)},
+    fixed_files={"src/repro/adversary/order.py": _src("""
+        from random import Random
 
 
-            def run_task(task):
-                remember(SEEN, task)
-                return task
-        """),
-    },
-    fixed_files={
-        "src/repro/parallel/registry.py": _src("""
-            def remember(store, task):
-                store[task] = True
-        """),
-        "src/repro/parallel/tasks.py": _src("""
-            from repro.parallel.registry import remember
-
-
-            def run_task(task):
-                seen = {}
-                remember(seen, task)
-                return task
-        """),
-    },
+        def reorder(items, seed: int):
+            Random(seed).shuffle(items)
+    """)},
 )
 
+#: An events module skeleton: ``Rogue`` is a concrete event class.
+_EVENTS_HEAD = _src("""
+    class TelemetryEvent: ...
 
-# ---------------------------------------------------------------------------
-# fork-unsafe-resource pass (concurrency tier)
-# ---------------------------------------------------------------------------
 
-_FIXTURE_FORK_LOCK = StaticFixture(
-    name="fork-unsafe-lock",
+    class Rogue(TelemetryEvent):
+        kind: ClassVar[str] = "rogue"
+
+
+""")
+
+_FIXTURE_EVENT_UNREGISTERED = StaticFixture(
+    name="event-missing-from-registry",
     description=(
-        "a module-level threading.Lock is created before the pool forks "
-        "and then taken inside run_task: each worker inherits a private "
-        "copy, so the lock synchronizes nothing (and a lock held at "
-        "fork time deadlocks the child)"
+        "a new event class is exported but absent from _EVENT_TYPES, so "
+        "event_from_dict cannot round-trip it"
     ),
-    pass_name="fork-unsafe-resource",
-    expect_rule="fork-unsafe-resource",
-    expect_symbol="repro.parallel.tasks.run_task",
-    files={
-        "src/repro/parallel/tasks.py": _src("""
-            import threading
-
-            _IO_LOCK = threading.Lock()
-
-
-            def run_task(task):
-                with _IO_LOCK:
-                    return task
-        """),
-    },
-    fixed_files={
-        "src/repro/parallel/tasks.py": _src("""
-            import threading
-
-            _IO_LOCK = threading.Lock()
-
-
-            def submit(engine, tasks):
-                with _IO_LOCK:
-                    return engine.run(tasks)
-
-
-            def run_task(task):
-                return task
-        """),
-    },
+    pass_name="event-registry",
+    expect_rule="event-registry",
+    files={"src/repro/obs/events.py": _EVENTS_HEAD + _src("""
+        _EVENT_TYPES = {}
+        __all__ = ["TelemetryEvent", "Rogue"]
+    """)},
+    fixed_files={"src/repro/obs/events.py": _EVENTS_HEAD + _src("""
+        _EVENT_TYPES = {cls.kind: cls for cls in (Rogue,)}
+        __all__ = ["TelemetryEvent", "Rogue"]
+    """)},
 )
 
-_FIXTURE_FORK_TRACER = StaticFixture(
-    name="fork-unsafe-tracer",
-    description=(
-        "a module-level Tracer singleton (a configured resource class) "
-        "is used worker-side: its buffers and lock predate the fork, so "
-        "worker spans land in a copy nobody ever reads; the fixed "
-        "variant constructs the tracer inside the worker"
-    ),
-    pass_name="fork-unsafe-resource",
-    expect_rule="fork-unsafe-resource",
-    expect_symbol="repro.parallel.tasks.run_task",
-    files={
-        "src/repro/obs/trace.py": _src("""
-            class Tracer:
-                def __init__(self):
-                    self.spans = []
-
-                def record(self, name):
-                    self.spans.append(name)
-
-
-            NULL_TRACER = Tracer()
-        """),
-        "src/repro/parallel/tasks.py": _src("""
-            from repro.obs.trace import NULL_TRACER
-
-
-            def run_task(task):
-                NULL_TRACER.record(task)
-                return task
-        """),
-    },
-    fixed_files={
-        "src/repro/obs/trace.py": _src("""
-            class Tracer:
-                def __init__(self):
-                    self.spans = []
-
-                def record(self, name):
-                    self.spans.append(name)
-        """),
-        "src/repro/parallel/tasks.py": _src("""
-            from repro.obs.trace import Tracer
-
-
-            def run_task(task):
-                tracer = Tracer()
-                tracer.record(task)
-                return (task, tracer.spans)
-        """),
-    },
+_FIXTURE_EVENT_UNEXPORTED = StaticFixture(
+    name="event-missing-from-all",
+    description="a registered event class is missing from __all__",
+    pass_name="event-registry",
+    expect_rule="event-registry",
+    files={"src/repro/obs/events.py": _EVENTS_HEAD + _src("""
+        _EVENT_TYPES = {cls.kind: cls for cls in (Rogue,)}
+        __all__ = ["TelemetryEvent"]
+    """)},
+    fixed_files={"src/repro/obs/events.py": _EVENTS_HEAD + _src("""
+        _EVENT_TYPES = {cls.kind: cls for cls in (Rogue,)}
+        __all__ = ["TelemetryEvent", "Rogue"]
+    """)},
 )
 
-
-# ---------------------------------------------------------------------------
-# cache-key-completeness pass (concurrency tier)
-# ---------------------------------------------------------------------------
-
-_FIXTURE_CACHE_ENV = StaticFixture(
-    name="cache-unkeyed-env-read",
-    description=(
-        "run_task short-circuits on an env variable that is neither "
-        "parent-side-keyed nor declared value-neutral: two environments "
-        "share one ResultCache entry, so whichever ran first poisons "
-        "the other"
-    ),
-    pass_name="cache-key-completeness",
-    expect_rule="cache-key-completeness",
-    expect_symbol="repro.parallel.tasks.run_task",
-    files={
-        "src/repro/parallel/tasks.py": _src("""
-            import os
+_FIXTURE_ALL_PHANTOM = StaticFixture(
+    name="all-exports-unbound-name",
+    description="__all__ names a helper the module never binds",
+    pass_name="all-consistency",
+    expect_rule="all-consistency",
+    files={"src/repro/core/series.py": _src("""
+        __all__ = ["harmonic", "geometric_tail"]
 
 
-            def run_task(task):
-                if os.environ.get("REPRO_FAST_PATH"):
-                    return 0
-                return task
-        """),
-    },
-    fixed_files={
-        "src/repro/parallel/tasks.py": _src("""
-            def run_task(task):
-                if task.fast_path:
-                    return 0
-                return task
-        """),
-    },
+        def harmonic(n: int) -> int:
+            return n
+    """)},
+    fixed_files={"src/repro/core/series.py": _src("""
+        __all__ = ["harmonic"]
+
+
+        def harmonic(n: int) -> int:
+            return n
+    """)},
 )
 
-_FIXTURE_CACHE_GLOBAL = StaticFixture(
-    name="cache-runtime-global-read",
+_FIXTURE_ALL_DUPLICATE = StaticFixture(
+    name="all-duplicate-entry",
     description=(
-        "cached-result scope reads a module-level override table that "
-        "another function mutates at runtime: the table's state never "
-        "reaches the task digest, so cached results go stale the "
-        "moment an override lands"
+        "__all__ lists a name twice; a TYPE_CHECKING binding still "
+        "counts as bound in the fixed variant"
     ),
-    pass_name="cache-key-completeness",
-    expect_rule="cache-key-completeness",
-    expect_symbol="repro.heap.kernel.resolve_kernel",
-    files={
-        "src/repro/heap/kernel.py": _src("""
-            KERNEL_OVERRIDES = {}
+    pass_name="all-consistency",
+    expect_rule="all-consistency",
+    files={"src/repro/core/units.py": _src("""
+        __all__ = ["KB", "KB"]
+        KB = 1024
+    """)},
+    fixed_files={"src/repro/core/units.py": _src("""
+        from typing import TYPE_CHECKING
 
+        if TYPE_CHECKING:
+            from repro.core.params import BoundParams
 
-            def set_kernel_override(name, value):
-                KERNEL_OVERRIDES[name] = value
-
-
-            def resolve_kernel(name):
-                return KERNEL_OVERRIDES.get(name, name)
-        """),
-        "src/repro/parallel/tasks.py": _src("""
-            from repro.heap.kernel import resolve_kernel
-
-
-            def run_task(task):
-                return resolve_kernel(task)
-        """),
-    },
-    fixed_files={
-        "src/repro/heap/kernel.py": _src("""
-            def resolve_kernel(name, overrides):
-                return overrides.get(name, name)
-        """),
-        "src/repro/parallel/tasks.py": _src("""
-            from repro.heap.kernel import resolve_kernel
-
-
-            def run_task(task):
-                return resolve_kernel(task, {})
-        """),
-    },
+        __all__ = ["KB", "BoundParams"]
+        KB = 1024
+    """)},
 )
 
-
-# ---------------------------------------------------------------------------
-# merge-order pass (concurrency tier)
-# ---------------------------------------------------------------------------
-
-_FIXTURE_MERGE_SET = StaticFixture(
-    name="merge-order-set-iteration",
+_FIXTURE_INTERVAL_READ = StaticFixture(
+    name="manager-reads-interval-arrays",
     description=(
-        "the engine's merge loop deduplicates through set(): worker "
-        "results submitted in order come back out in hash order, which "
-        "PYTHONHASHSEED re-randomizes per process — the exact bug the "
-        "serial/parallel byte-identity contract exists to prevent"
+        "a manager reads the interval set's coordinate list directly "
+        "instead of asking the public gap API"
     ),
-    pass_name="merge-order",
-    expect_rule="merge-order",
-    expect_symbol="repro.parallel.engine.ParallelEngine.run",
-    files={
-        "src/repro/parallel/engine.py": _src("""
-            class ParallelEngine:
-                def run(self, tasks):
-                    results = []
-                    for task in set(tasks):
-                        results.append(task)
-                    return results
-        """),
-    },
-    fixed_files={
-        "src/repro/parallel/engine.py": _src("""
-            class ParallelEngine:
-                def run(self, tasks):
-                    results = []
-                    for task in tasks:
-                        results.append(task)
-                    return results
-        """),
-    },
+    pass_name="interval-internals",
+    expect_rule="interval-internals",
+    files={"src/repro/mm/fits.py": _src("""
+        def first_start(heap):
+            return heap.occupied._starts[0]
+    """)},
+    fixed_files={"src/repro/mm/fits.py": _src("""
+        def first_gap(heap, size: int):
+            return heap.occupied.find_first_gap(size)
+    """)},
 )
 
-_FIXTURE_MERGE_LISTING = StaticFixture(
-    name="merge-order-dir-listing",
+_FIXTURE_INTERVAL_WRITE = StaticFixture(
+    name="analysis-pokes-gap-index",
     description=(
-        "a sweep merge iterates os.listdir: filesystem order is "
-        "platform- and history-dependent, so the merged rows differ "
-        "between machines that computed identical shards"
+        "analysis code resets the gap index's class mask, leaving the "
+        "placement index out of sync with the interval arrays; heap "
+        "code itself may touch the internals"
     ),
-    pass_name="merge-order",
-    expect_rule="merge-order",
-    expect_symbol="repro.analysis.sweep.simulation_sweep",
-    files={
-        "src/repro/analysis/sweep.py": _src("""
-            import os
-
-
-            def simulation_sweep(shard_dir):
-                rows = []
-                for name in os.listdir(shard_dir):
-                    rows.append(name)
-                return rows
-        """),
-    },
-    fixed_files={
-        "src/repro/analysis/sweep.py": _src("""
-            import os
-
-
-            def simulation_sweep(shard_dir):
-                rows = []
-                for name in sorted(os.listdir(shard_dir)):
-                    rows.append(name)
-                return rows
-        """),
-    },
+    pass_name="interval-internals",
+    expect_rule="interval-internals",
+    files={"src/repro/analysis/defrag.py": _src("""
+        def reset(index):
+            index._class_mask = 0
+    """)},
+    fixed_files={"src/repro/heap/gap_index.py": _src("""
+        class GapIndex:
+            def clear(self):
+                self._class_mask = 0
+    """)},
 )
 
 
@@ -1293,10 +1015,8 @@ STATIC_FIXTURES: tuple[StaticFixture, ...] = (
     _FIXTURE_ID_ORDERING,
     _FIXTURE_TIME_READ,
     _FIXTURE_SET_INTO_TAPE,
-    _FIXTURE_UNPICKLABLE_FIELD,
-    _FIXTURE_LAMBDA_DEFAULT,
-    _FIXTURE_WORKER_MUTATION,
-    _FIXTURE_WORKER_GLOBAL,
+    _FIXTURE_SET_BEFORE_TAPE_DIGEST,
+    _FIXTURE_ENV_READ,
     _FIXTURE_BUDGET_REFUND,
     _FIXTURE_BUDGET_SENTINEL,
     _FIXTURE_BUDGET_FLOAT_MULT,
@@ -1305,14 +1025,14 @@ STATIC_FIXTURES: tuple[StaticFixture, ...] = (
     _FIXTURE_INVARIANT_RETURN,
     _FIXTURE_ALIAS_MUTATION,
     _FIXTURE_INTERNAL_ESCAPE,
-    _FIXTURE_DEAD_STORE,
-    _FIXTURE_UNREACHABLE_TAIL,
-    _FIXTURE_WORKER_CLASS_ATTR,
-    _FIXTURE_WORKER_PARAM_MUTATION,
-    _FIXTURE_FORK_LOCK,
-    _FIXTURE_FORK_TRACER,
-    _FIXTURE_CACHE_ENV,
-    _FIXTURE_CACHE_GLOBAL,
-    _FIXTURE_MERGE_SET,
-    _FIXTURE_MERGE_LISTING,
+    _FIXTURE_NO_FLOAT_DIVISION,
+    _FIXTURE_NO_FLOAT_LITERAL,
+    _FIXTURE_GLOBAL_RANDOM_CALL,
+    _FIXTURE_GLOBAL_RANDOM_IMPORT,
+    _FIXTURE_EVENT_UNREGISTERED,
+    _FIXTURE_EVENT_UNEXPORTED,
+    _FIXTURE_ALL_PHANTOM,
+    _FIXTURE_ALL_DUPLICATE,
+    _FIXTURE_INTERVAL_READ,
+    _FIXTURE_INTERVAL_WRITE,
 )

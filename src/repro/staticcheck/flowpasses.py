@@ -1,6 +1,6 @@
-"""Flow-sensitive module passes: invariant-safety, alias-escape, dead-flow.
+"""Flow-sensitive module passes: invariant-safety and alias-escape.
 
-Three passes built on the CFG (:mod:`repro.staticcheck.cfg`) and the
+Two passes built on the CFG (:mod:`repro.staticcheck.cfg`) and the
 worklist solver (:mod:`repro.staticcheck.dataflow`):
 
 * **invariant-safety** — exception-path analysis of *paired mutations*.
@@ -19,27 +19,19 @@ worklist solver (:mod:`repro.staticcheck.dataflow`):
   (``SimHeap.free``), not a pair — the pass only arms between a pair.
 
 * **alias-escape** — flow-sensitive may-alias tracking of interval /
-  gap-index internals, superseding the lexical ``interval-internals``
-  rule (which delegates to :func:`internal_access_findings` here).
-  Outside the heap package, *mutating through an alias*
-  (``rows = iv._starts; rows.pop()``) desynchronizes the index one
-  step removed from the attribute access — the lexical rule sees the
-  access, only the dataflow sees the mutation (``interval-alias``).
+  gap-index internals, the flow half of the lexical
+  ``interval-internals`` rule (:mod:`repro.staticcheck.rules_lint`,
+  whose ``INTERVAL_INTERNALS`` set both rules share).  Outside the
+  heap package, *mutating through an alias* (``rows = iv._starts;
+  rows.pop()``) desynchronizes the index one step removed from the
+  attribute access — the lexical rule sees the access, only the
+  dataflow sees the mutation (``interval-alias``).
   Inside the heap package, returning or yielding an alias of an
   internal hands callers a live reference (``interval-escape``);
   copies (``list(...)``, ``sorted(...)``, ``.copy()``) do not alias.
 
-* **dead-flow** — unreachable code (CFG blocks not reachable from the
-  entry, with constant-test folding so ``while True:`` has no false
-  exit) and dead stores (backward liveness; a binding never read on
-  any path out).  Names read inside nested functions are treated as
-  always-live (closure cells are read at call time), ``_``-prefixed
-  names are deliberate discards, and only plain single-name
-  assignments are flagged — loop/with/except binders and tuple
-  unpacking stay exempt.
-
-``# lint: invariant-ok`` / ``# lint: deadflow-ok`` pragmas suppress a
-finding on the statement carrying them, same spans as ``float-ok``.
+A ``# lint: invariant-ok`` pragma suppresses an invariant-safety
+finding on the statement carrying it, same spans as ``float-ok``.
 """
 
 from __future__ import annotations
@@ -47,27 +39,18 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from .base import (DEADFLOW_OK_PRAGMA, INVARIANT_OK_PRAGMA, Finding,
-                   StaticCheckConfig, module_rule)
+from .base import (INVARIANT_OK_PRAGMA, Finding, StaticCheckConfig,
+                   module_rule)
 from .cfg import CFG, EXC, build_cfg
-from .dataflow import (DataflowAnalysis, Liveness, closure_loads, solve)
+from .dataflow import DataflowAnalysis, solve
 from .model import FunctionInfo, ModuleInfo
+from .rules_lint import INTERVAL_INTERNALS
 
 __all__ = [
     "check_invariant_safety",
     "check_alias_escape",
-    "check_dead_flow",
-    "internal_access_findings",
-    "INTERVAL_INTERNALS",
     "MUTATOR_METHODS",
 ]
-
-#: Interval-set / gap-index internals owned by ``src/repro/heap/``.
-#: (Authoritative home; ``rules_lint`` re-exports it for compatibility.)
-INTERVAL_INTERNALS = frozenset({
-    "_starts", "_ends",
-    "_gap_end", "_gap_buckets", "_class_mask", "_size_order",
-})
 
 #: Method calls that mutate a list/set/dict alias in place.
 MUTATOR_METHODS = frozenset({
@@ -80,28 +63,6 @@ def _functions_of(module: ModuleInfo) -> Iterator[FunctionInfo]:
     for function in module.functions.values():
         if not function.is_module_body:
             yield function
-
-
-# ---------------------------------------------------------------------------
-# interval-internals (lexical part, delegated to by rules_lint)
-# ---------------------------------------------------------------------------
-
-
-def internal_access_findings(module: ModuleInfo,
-                             config: StaticCheckConfig) -> Iterator[Finding]:
-    """Direct attribute access to interval/gap-index internals outside
-    the heap package — the lexical half of the alias-escape tier."""
-    if config.in_heap_package(module.relpath):
-        return
-    for node in ast.walk(module.tree):
-        if (isinstance(node, ast.Attribute)
-                and node.attr in INTERVAL_INTERNALS):
-            yield Finding(
-                module.path, node.lineno, "interval-internals",
-                f"direct access to {node.attr!r}: the gap index mirrors "
-                "the interval arrays, so external pokes desynchronize "
-                "placement search; use the IntervalSet public API",
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +173,6 @@ def check_invariant_safety(module: ModuleInfo,
 
 class _AliasAnalysis(DataflowAnalysis[frozenset]):
     """Forward may-alias analysis: which local names alias an internal."""
-
-    direction = "forward"
 
     def boundary(self) -> frozenset:
         return frozenset()
@@ -352,92 +311,3 @@ def check_alias_escape(module: ModuleInfo,
                         symbol=function.qualname, source="alias-escape",
                     )
 
-
-# ---------------------------------------------------------------------------
-# dead-flow
-# ---------------------------------------------------------------------------
-
-
-def _region_heads(cfg: CFG, unreachable: set[int]) -> Iterator[int]:
-    """First block of each contiguous unreachable region (one finding
-    per region, not one per statement)."""
-    for index in sorted(unreachable):
-        preds = {src for src, _ in cfg.preds[index]}
-        if not preds & unreachable:
-            yield index
-
-
-def _declared_nonlocal(func_node: ast.AST) -> set[str]:
-    names: set[str] = set()
-    for node in ast.walk(func_node):
-        if isinstance(node, (ast.Global, ast.Nonlocal)):
-            names.update(node.names)
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)  # `del x` counts as a use
-    return names
-
-
-@module_rule(
-    "dead-flow",
-    "unreachable code and dead stores, from the CFG and backward "
-    "liveness (closure-read names are always live; _-prefixed names "
-    "are deliberate discards)",
-    rule_ids=("dead-store", "unreachable-code"),
-    tier="dataflow",
-)
-def check_dead_flow(module: ModuleInfo,
-                    config: StaticCheckConfig) -> Iterator[Finding]:
-    """Flag unreachable statements and never-read bindings."""
-    exempt = module.exempt(DEADFLOW_OK_PRAGMA)
-    for function in _functions_of(module):
-        cfg = build_cfg(function.node)
-        reachable = cfg.reachable()
-        reachable_lines = {cfg.blocks[index].line for index in reachable}
-        # Finally duplication can leave an unreachable *copy* of a line
-        # whose other copies run; only lines with no live copy count.
-        unreachable = {
-            block.index for block in cfg.statement_blocks()
-            if block.index not in reachable
-            and block.line not in reachable_lines
-            and block.line not in exempt
-        }
-        for index in _region_heads(cfg, unreachable):
-            block = cfg.blocks[index]
-            yield Finding(
-                module.path, block.line, "unreachable-code",
-                f"unreachable code: no path from the function entry "
-                f"reaches `{ast.unparse(block.node)[:60]}`",
-                symbol=function.qualname, source="dead-flow",
-            )
-
-        protected = (closure_loads(function.node)
-                     | _declared_nonlocal(function.node))
-        _, live_after = solve(cfg, Liveness())
-        for block in cfg.statement_blocks():
-            if block.index not in reachable or block.line in exempt:
-                continue
-            node = block.node
-            name: str | None = None
-            value: ast.expr | None = None
-            if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)):
-                name, value = node.targets[0].id, node.value
-            elif (isinstance(node, ast.AnnAssign) and node.value is not None
-                    and isinstance(node.target, ast.Name)):
-                name, value = node.target.id, node.value
-            if (name is None or name.startswith("_") or name in protected
-                    or name == getattr(value, "id", None)):
-                continue
-            if name not in live_after[block.index]:
-                side_effects = any(isinstance(child, (ast.Call, ast.Await))
-                                   for child in ast.walk(value))
-                hint = ("keep the call, drop the binding"
-                        if side_effects else "remove the statement")
-                yield Finding(
-                    module.path, block.line, "dead-store",
-                    f"dead store: {name!r} is assigned but never read on "
-                    f"any path from here; {hint}",
-                    symbol=function.qualname, source="dead-flow",
-                )

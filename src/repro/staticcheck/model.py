@@ -27,12 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .base import (
-    DETERMINISM_OK_PRAGMA,
-    FLOAT_OK_PRAGMA,
-    PICKLE_OK_PRAGMA,
-    exempt_lines,
-)
+from .base import DETERMINISM_OK_PRAGMA, FLOAT_OK_PRAGMA, exempt_lines
 
 __all__ = [
     "module_name_for",
@@ -50,7 +45,7 @@ def module_name_for(relpath: str) -> str:
     """Dotted module name for a repo-relative POSIX path.
 
     ``src/repro/mm/budget.py`` → ``repro.mm.budget``;
-    ``tools/lint_repro.py`` → ``tools.lint_repro``;
+    ``tools/perf_smoke.py`` → ``tools.perf_smoke``;
     ``src/repro/check/__init__.py`` → ``repro.check``.
     """
     parts = list(Path(relpath).parts)
@@ -80,8 +75,6 @@ class FunctionInfo:
     params: tuple[str, ...] = ()
     #: Parameter annotations, unparsed (name → source text).
     annotations: dict[str, str] = field(default_factory=dict)
-    #: Unparsed return annotation, when present.
-    returns: str | None = None
 
     @property
     def body(self) -> Sequence[ast.stmt]:
@@ -96,7 +89,7 @@ class FunctionInfo:
 
 @dataclass
 class ClassInfo:
-    """One class: its AST, base names and dataclass-style fields."""
+    """One class: its AST, base names and annotated fields."""
 
     qualname: str
     module: str
@@ -105,20 +98,8 @@ class ClassInfo:
     #: Base-class names as written (``Name``/dotted text).
     bases: tuple[str, ...] = ()
     #: Annotated class-body fields in declaration order
-    #: (name, unparsed annotation, default node or None, line).
-    fields: tuple[tuple[str, str, ast.expr | None, int], ...] = ()
-    #: Method qualnames defined directly on the class.
-    methods: tuple[str, ...] = ()
-
-    @property
-    def is_dataclass(self) -> bool:
-        """Whether a ``dataclass`` decorator is present."""
-        for deco in self.node.decorator_list:
-            target = deco.func if isinstance(deco, ast.Call) else deco
-            text = ast.unparse(target)
-            if text.split(".")[-1] == "dataclass":
-                return True
-        return False
+    #: (name, unparsed annotation) — a dataclass's constructor params.
+    fields: tuple[tuple[str, str], ...] = ()
 
 
 class ModuleInfo:
@@ -135,11 +116,6 @@ class ModuleInfo:
         #: Local alias → fully qualified target ("math", "repro.mm.budget",
         #: or "repro.adversary.catalog.make_program").
         self.imports: dict[str, str] = {}
-        #: Names bound at module top level (incl. imports).
-        self.module_level_names: set[str] = set()
-        #: Module-level names bound to mutable containers (dict/list/set
-        #: displays or constructor calls) — the purity pass's targets.
-        self.module_level_mutables: set[str] = set()
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
         self._index()
@@ -164,11 +140,6 @@ class ModuleInfo:
     def determinism_ok_lines(self) -> set[int]:
         """Lines exempt from the determinism pass."""
         return self.exempt(DETERMINISM_OK_PRAGMA)
-
-    @property
-    def pickle_ok_lines(self) -> set[int]:
-        """Lines exempt from the picklability pass."""
-        return self.exempt(PICKLE_OK_PRAGMA)
 
     # -- indexing ------------------------------------------------------------
 
@@ -195,7 +166,6 @@ class ModuleInfo:
                     bound = alias.asname or alias.name.split(".")[0]
                     target = alias.name if alias.asname else bound
                     self.imports[bound] = target
-                    self.module_level_names.add(bound)
             elif isinstance(node, ast.ImportFrom):
                 base = self._resolve_import_from(node)
                 if base is None:
@@ -205,22 +175,9 @@ class ModuleInfo:
                         continue
                     bound = alias.asname or alias.name
                     self.imports[bound] = f"{base}.{alias.name}"
-                    self.module_level_names.add(bound)
             elif isinstance(node, (ast.If, ast.Try)):
                 # TYPE_CHECKING blocks and import fallbacks bind names too.
                 self._index_imports(ast.iter_child_nodes(node))  # type: ignore[arg-type]
-
-    @staticmethod
-    def _is_mutable_value(value: ast.expr | None) -> bool:
-        if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.ListComp,
-                              ast.DictComp, ast.SetComp)):
-            return True
-        if (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
-                and value.func.id in {"dict", "list", "set", "deque",
-                                      "defaultdict", "Counter",
-                                      "OrderedDict", "bytearray"}):
-            return True
-        return False
 
     def _index_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef,
                         owner: ClassInfo | None) -> None:
@@ -242,31 +199,22 @@ class ModuleInfo:
             owner_class=owner.qualname if owner is not None else None,
             params=params,
             annotations=annotations,
-            returns=(ast.unparse(node.returns)
-                     if node.returns is not None else None),
         )
 
     def _index_class(self, node: ast.ClassDef) -> None:
         qualname = f"{self.name}.{node.name}"
         bases = tuple(ast.unparse(base) for base in node.bases)
-        fields: list[tuple[str, str, ast.expr | None, int]] = []
-        methods: list[str] = []
+        fields: list[tuple[str, str]] = []
         info = ClassInfo(qualname=qualname, module=self.name, node=node,
                          lineno=node.lineno, bases=bases)
         for statement in node.body:
             if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._index_function(statement, info)
-                methods.append(f"{qualname}.{statement.name}")
             elif (isinstance(statement, ast.AnnAssign)
                     and isinstance(statement.target, ast.Name)):
-                fields.append((
-                    statement.target.id,
-                    ast.unparse(statement.annotation),
-                    statement.value,
-                    statement.lineno,
-                ))
+                fields.append((statement.target.id,
+                               ast.unparse(statement.annotation)))
         info.fields = tuple(fields)
-        info.methods = tuple(methods)
         self.classes[qualname] = info
 
     def _index(self) -> None:
@@ -274,20 +222,8 @@ class ModuleInfo:
         for node in self.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._index_function(node, None)
-                self.module_level_names.add(node.name)
             elif isinstance(node, ast.ClassDef):
                 self._index_class(node)
-                self.module_level_names.add(node.name)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                value = node.value
-                for target in targets:
-                    for name_node in ast.walk(target):
-                        if isinstance(name_node, ast.Name):
-                            self.module_level_names.add(name_node.id)
-                            if self._is_mutable_value(value):
-                                self.module_level_mutables.add(name_node.id)
         # Synthetic function for the module-level statements, so the call
         # graph sees import-time calls.
         self.functions[f"{self.name}.<module>"] = FunctionInfo(
@@ -357,13 +293,6 @@ class Program:
     parse_errors: list[tuple[Path, str]] = []
 
     # -- resolution ----------------------------------------------------------
-
-    def module_of(self, qualname: str) -> ModuleInfo | None:
-        """The module owning a function/class qualname."""
-        info = self.functions.get(qualname) or self.classes.get(qualname)
-        if info is None:
-            return None
-        return self.modules.get(info.module)
 
     def resolve_symbol(self, qualified: str,
                        _depth: int = 0) -> str | None:
@@ -479,7 +408,6 @@ class Program:
         if init is not None and len(init.params) > 0:
             return init.params[1:], init.annotations
         if info.fields:
-            names = tuple(name for name, _, _, _ in info.fields)
-            annotations = {name: anno for name, anno, _, _ in info.fields}
-            return names, annotations
+            return (tuple(name for name, _ in info.fields),
+                    dict(info.fields))
         return (), {}

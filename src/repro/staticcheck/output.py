@@ -1,12 +1,12 @@
 """Report rendering: text, JSON, and SARIF 2.1.0.
 
 Text is the human gate output (one ``path:line: rule: message`` line
-per finding, like the old ``lint_repro`` output, plus a summary).  JSON
+per finding, plus a summary).  JSON
 is the machine form of the same.  SARIF is what CI uploads as an
 artifact: a minimal-but-valid SARIF 2.1.0 log with the full rule
 catalog in ``tool.driver.rules``, one result per finding, and the
 stable fingerprint under ``fingerprints`` so SARIF viewers dedupe
-across commits the same way the baseline does.
+findings across commits.
 """
 
 from __future__ import annotations
@@ -28,50 +28,37 @@ _SARIF_SCHEMA = (
 _TOOL_NAME = "repro-staticcheck"
 
 
-def render_text(new: Sequence[Finding], suppressed: Sequence[Finding],
-                stale_count: int, files_checked: int, root: Path,
+def render_text(findings: Sequence[Finding], files_checked: int, root: Path,
                 wall_seconds: float | None = None,
                 max_findings: int = 100) -> str:
     """The console report."""
-    lines = [finding.describe(root) for finding in new[:max_findings]]
-    if len(new) > max_findings:
-        lines.append(f"... {len(new) - max_findings} more findings elided "
-                     f"(--max-findings)")
-    status = "FAIL" if new else "OK"
+    lines = [finding.describe(root) for finding in findings[:max_findings]]
+    if len(findings) > max_findings:
+        lines.append(f"... {len(findings) - max_findings} more findings "
+                     f"elided (--max-findings)")
+    status = "FAIL" if findings else "OK"
     summary = (f"{status}: {files_checked} files checked, "
-               f"{len(new)} findings")
-    if suppressed:
-        summary += f" ({len(suppressed)} baselined)"
-    if stale_count:
-        summary += f"; {stale_count} stale baseline entr" + (
-            "y" if stale_count == 1 else "ies")
+               f"{len(findings)} findings")
     if wall_seconds is not None:
         summary += f" [{wall_seconds:.2f}s]"
     lines.append(summary)
     return "\n".join(lines)
 
 
-def to_json(new: Sequence[Finding], suppressed: Sequence[Finding],
-            stale_count: int, files_checked: int, root: Path) -> str:
+def to_json(findings: Sequence[Finding], files_checked: int,
+            root: Path) -> str:
     """The ``--format json`` document."""
     return json.dumps({
         "tool": _TOOL_NAME,
         "files_checked": files_checked,
-        "finding_count": len(new),
-        "suppressed_count": len(suppressed),
-        "stale_baseline_entries": stale_count,
-        "findings": [finding.to_dict(root) for finding in new],
-        "suppressed": [finding.to_dict(root) for finding in suppressed],
+        "finding_count": len(findings),
+        "findings": [finding.to_dict(root) for finding in findings],
     }, indent=2, sort_keys=True)
 
 
-def to_sarif(new: Sequence[Finding], suppressed: Sequence[Finding],
-             catalog: Sequence[RuleSpec], root: Path) -> str:
-    """The ``--format sarif`` document (SARIF 2.1.0).
-
-    Baselined findings are included with ``suppressions`` so viewers
-    show them greyed out rather than losing them entirely.
-    """
+def to_sarif(findings: Sequence[Finding], catalog: Sequence[RuleSpec],
+             root: Path) -> str:
+    """The ``--format sarif`` document (SARIF 2.1.0)."""
     rules = []
     seen_ids: set[str] = set()
     for spec in catalog:
@@ -86,13 +73,13 @@ def to_sarif(new: Sequence[Finding], suppressed: Sequence[Finding],
                                "tier": spec.tier},
             })
     # Findings may carry rule ids outside the catalog (defensive).
-    for finding in [*new, *suppressed]:
+    for finding in findings:
         if finding.rule not in seen_ids:
             seen_ids.add(finding.rule)
             rules.append({"id": finding.rule,
                           "shortDescription": {"text": finding.rule}})
 
-    def result(finding: Finding, suppressed_entry: bool) -> dict:
+    def result(finding: Finding) -> dict:
         try:
             uri = finding.path.relative_to(root).as_posix()
         except ValueError:
@@ -112,9 +99,6 @@ def to_sarif(new: Sequence[Finding], suppressed: Sequence[Finding],
         if finding.symbol:
             record["properties"] = {"symbol": finding.symbol,
                                     "pass": finding.source}
-        if suppressed_entry:
-            record["suppressions"] = [{"kind": "external",
-                                       "justification": "baselined"}]
         return record
 
     log = {
@@ -129,10 +113,7 @@ def to_sarif(new: Sequence[Finding], suppressed: Sequence[Finding],
                     "rules": rules,
                 },
             },
-            "results": [
-                *(result(finding, False) for finding in new),
-                *(result(finding, True) for finding in suppressed),
-            ],
+            "results": [result(finding) for finding in findings],
         }],
     }
     return json.dumps(log, indent=2)

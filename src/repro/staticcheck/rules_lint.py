@@ -1,11 +1,10 @@
-"""The seven repository lint rules, migrated onto the plugin registry.
+"""The per-module (lexical) rules.
 
-These are the per-module rules that used to live (as free functions) in
-``tools/lint_repro.py``; that script is now a thin shim over this
-module.  Semantics are unchanged with one deliberate fix: ``# lint:
-float-ok`` pragmas are now honoured anywhere on a **multi-line
-statement** (the old rule only checked the exact line carrying the
-float literal), via :func:`repro.staticcheck.base.exempt_lines`.
+Five rules that need one parsed module and nothing else: ``no-float``
+(float syntax in budget-critical files), ``unseeded-random``,
+``event-registry``, ``all-consistency`` and ``interval-internals``.
+``# lint: float-ok`` pragmas are honoured anywhere on a multi-line
+statement via :func:`repro.staticcheck.base.exempt_lines`.
 
 Each rule is a :func:`~repro.staticcheck.base.module_rule` plugin taking
 one :class:`~repro.staticcheck.model.ModuleInfo`; scoping decisions
@@ -17,11 +16,9 @@ internals) come from the shared
 from __future__ import annotations
 
 import ast
-import re
 from typing import Iterator
 
 from .base import Finding, StaticCheckConfig, module_rule
-from .flowpasses import INTERVAL_INTERNALS, internal_access_findings
 from .model import ModuleInfo
 
 __all__ = [
@@ -29,8 +26,6 @@ __all__ = [
     "check_unseeded_random",
     "check_event_registry",
     "check_all_consistency",
-    "check_bare_except",
-    "check_unused_imports",
     "check_interval_internals",
     "GLOBAL_RANDOM_FUNCS",
     "INTERVAL_INTERNALS",
@@ -46,8 +41,11 @@ GLOBAL_RANDOM_FUNCS = frozenset({
     "weibullvariate",
 })
 
-# INTERVAL_INTERNALS moved to flowpasses (the dataflow tier owns the
-# alias/escape semantics); re-exported above for compatibility.
+#: Interval-set / gap-index internals owned by ``src/repro/heap/``.
+INTERVAL_INTERNALS = frozenset({
+    "_starts", "_ends",
+    "_gap_end", "_gap_buckets", "_class_mask", "_size_order",
+})
 
 
 def _node_lines(node: ast.AST) -> range:
@@ -267,74 +265,6 @@ def check_all_consistency(module: ModuleInfo,
 
 
 # ---------------------------------------------------------------------------
-# bare-except
-# ---------------------------------------------------------------------------
-
-
-@module_rule(
-    "bare-except",
-    "bare `except:` swallows KeyboardInterrupt and checker AssertionErrors",
-)
-def check_bare_except(module: ModuleInfo,
-                      config: StaticCheckConfig) -> Iterator[Finding]:
-    """Flag ``except:`` clauses."""
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.ExceptHandler) and node.type is None:
-            yield Finding(
-                module.path, node.lineno, "bare-except",
-                "bare `except:` swallows KeyboardInterrupt and checker "
-                "AssertionErrors; name the exception type",
-            )
-
-
-# ---------------------------------------------------------------------------
-# unused-import
-# ---------------------------------------------------------------------------
-
-
-@module_rule(
-    "unused-import",
-    "dead imports hide real dependencies (string forward references and "
-    "__all__ re-exports count as uses)",
-)
-def check_unused_imports(module: ModuleInfo,
-                         config: StaticCheckConfig) -> Iterator[Finding]:
-    """Flag imports never referenced (by name, ``__all__``, or strings).
-
-    String constants count as uses because quoted forward references
-    (``driver: "ExecutionDriver"``) and Sphinx roles in docstrings refer
-    to names linters cannot see; the rule errs lenient on purpose.
-    """
-    tree = module.tree
-    imported: dict[str, int] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom):
-            if node.module == "__future__":
-                continue
-            for alias in node.names:
-                if alias.name != "*":
-                    imported[alias.asname or alias.name] = node.lineno
-    if not imported:
-        return
-    used: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
-        elif (isinstance(node, ast.Constant)
-                and isinstance(node.value, str)):
-            used.update(re.findall(r"\w+", node.value))
-    for name, line in sorted(imported.items(), key=lambda item: item[1]):
-        if name not in used:
-            yield Finding(module.path, line, "unused-import",
-                          f"{name!r} is imported but never used")
-
-
-# ---------------------------------------------------------------------------
 # interval-internals
 # ---------------------------------------------------------------------------
 
@@ -346,11 +276,16 @@ def check_unused_imports(module: ModuleInfo,
 )
 def check_interval_internals(module: ModuleInfo,
                              config: StaticCheckConfig) -> Iterator[Finding]:
-    """Flag attribute access to interval/gap-index internals.
-
-    Thin delegate: the dataflow tier
-    (:mod:`repro.staticcheck.flowpasses`) owns the internals set and the
-    access semantics; its ``alias-escape`` rule adds the flow-sensitive
-    half (mutation through aliases, escapes from heap code).
-    """
-    yield from internal_access_findings(module, config)
+    """Flag attribute access to interval/gap-index internals outside
+    the heap package (reads and writes alike)."""
+    if config.in_heap_package(module.relpath):
+        return
+    for node in ast.walk(module.tree):
+        if (isinstance(node, ast.Attribute)
+                and node.attr in INTERVAL_INTERNALS):
+            yield Finding(
+                module.path, node.lineno, "interval-internals",
+                f"direct access to {node.attr!r}: the gap index mirrors "
+                "the interval arrays, so external pokes desynchronize "
+                "placement search; use the IntervalSet public API",
+            )

@@ -1,42 +1,23 @@
-"""Orchestration: parse once, run every registered rule, gate on the baseline.
+"""Orchestration: parse once, run every registered rule, report.
 
 :func:`run_staticcheck` is the programmatic entry point (the CLI, the
-``lint_repro`` shim, the benchmark and the tests all go through it):
+benchmark and the tests all go through it):
 
 1. expand the requested paths into ``.py`` files and parse them into one
    :class:`~repro.staticcheck.model.Program`;
 2. run every registered module rule over every module, and every
    registered program pass over the whole program (optionally filtered
    with ``rules=``);
-3. fingerprint the findings and split them against the baseline.
+3. fingerprint and sort the findings.
 
-Module rules are a pure function of one module, which buys two things
-program passes cannot have:
-
-* **incremental runs** — with ``cache_dir=`` set, each module's findings
-  are recalled from a :class:`~repro.staticcheck.cache.ModuleCache`
-  keyed by content hash; a warm run after a one-file edit re-analyzes
-  exactly that module (``AnalysisResult.modules_reanalyzed``);
-* **parallel runs** — with ``jobs > 1`` the cache misses fan out over a
-  :class:`~repro.parallel.engine.ParallelEngine` process pool.
-
-Program passes always run serially and uncached (any module edit may
-change their verdict anywhere).  Output is byte-identical across
-``jobs``/cache states because fingerprints are assigned by one final
-:func:`~repro.staticcheck.base.fingerprint_findings` sort over the
-merged findings.
-
-Exit-code contract (shared by ``repro staticcheck`` and the shim):
-``0`` clean (everything suppressed or nothing found), ``1`` at least
-one non-baselined finding, ``2`` the invocation itself was invalid.
+Exit-code contract (``repro staticcheck``): ``0`` clean, ``1`` at least
+one finding, ``2`` the invocation itself was invalid.
 """
 
 from __future__ import annotations
 
-import ast
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -48,9 +29,7 @@ from .base import (
     fingerprint_findings,
     rule_catalog,
 )
-from .baseline import DEFAULT_BASELINE_NAME, Baseline
-from .cache import ModuleCache
-from .model import ModuleInfo, Program
+from .model import Program
 
 __all__ = [
     "AnalysisResult",
@@ -92,24 +71,13 @@ class AnalysisResult:
     """Everything one analysis run produced."""
 
     program: Program
-    #: Non-baselined findings (these fail the gate), sorted.
+    #: Every finding (these fail the gate), sorted.
     findings: list[Finding]
-    #: Baselined findings.
-    suppressed: list[Finding] = field(default_factory=list)
-    #: Baseline entries that matched nothing this run.
-    stale_entries: list = field(default_factory=list)
     files_checked: int = 0
     wall_seconds: float = 0.0
     #: Files that failed to parse ((path, error) pairs) — reported as
     #: syntax-error findings too.
     parse_errors: list = field(default_factory=list)
-    #: Modules the cached tier actually re-analyzed this run (equals
-    #: ``files_checked`` minus parse failures when no cache is set).
-    modules_reanalyzed: int = 0
-    #: Incremental-cache hits (0 without ``cache_dir``).
-    cache_hits: int = 0
-    #: Worker processes used for the module-rule tier.
-    jobs: int = 1
 
     @property
     def ok(self) -> bool:
@@ -142,90 +110,21 @@ def _selected_rules(rules: Sequence[str] | None) -> list[RuleSpec]:
     ]
 
 
-def _analyze_module_payload(payload: tuple[str, str, str],
-                            rule_names: tuple[str, ...],
-                            config: StaticCheckConfig) -> list[Finding]:
-    """Run the named module rules over one ``(relpath, path, source)``.
-
-    Module-level so it pickles into pool workers.  The source re-parses
-    locally — cheaper and start-method-agnostic compared to shipping an
-    AST across the process boundary — and cannot fail: ``Program.load``
-    already filtered out files with syntax errors.
-    """
-    relpath, path_str, source = payload
-    module = ModuleInfo(relpath, Path(path_str), source,
-                        ast.parse(source, filename=path_str))
-    specs = {spec.name: spec for spec in rule_catalog()}
-    findings: list[Finding] = []
-    for name in rule_names:
-        findings.extend(specs[name].func(module, config))
-    return findings
-
-
-def _run_rules(program: Program, cfg: StaticCheckConfig,
-               specs: Sequence[RuleSpec], *, jobs: int = 1,
-               cache: ModuleCache | None = None) -> tuple[list[Finding], int]:
-    """Execute the rule tiers; returns (raw findings, modules re-analyzed).
-
-    Module rules go through the cache (when set) and the process pool
-    (when ``jobs > 1``); program passes always run serially, uncached.
-    Findings come back *unfingerprinted* — callers must finish with
-    :func:`fingerprint_findings` so every execution strategy yields
-    byte-identical output.
-    """
-    module_specs = [spec for spec in specs if spec.kind == "module"]
-    program_specs = [spec for spec in specs if spec.kind == "program"]
-    findings: list[Finding] = []
-    reanalyzed = 0
-    if module_specs:
-        rule_names = tuple(spec.name for spec in module_specs)
-        misses: list[tuple[ModuleInfo, str | None]] = []
-        for module in program.modules.values():
-            key: str | None = None
-            if cache is not None:
-                key = ModuleCache.key_for(module.relpath, module.source,
-                                          rule_names, cfg)
-                hit = cache.load(module.relpath, key, program.root)
-                if hit is not None:
-                    findings.extend(hit)
-                    continue
-            misses.append((module, key))
-        reanalyzed = len(misses)
-        if jobs > 1 and len(misses) > 1:
-            from ..parallel.engine import ParallelEngine
-
-            worker = partial(_analyze_module_payload,
-                             rule_names=rule_names, config=cfg)
-            payloads = [(module.relpath, str(module.path), module.source)
-                        for module, _ in misses]
-            batches = ParallelEngine(jobs=jobs).map(worker, payloads)
-        else:
-            batches = []
-            for module, _ in misses:
-                batch: list[Finding] = []
-                for spec in module_specs:
-                    batch.extend(spec.func(module, cfg))
-                batches.append(batch)
-        for (module, key), batch in zip(misses, batches):
-            findings.extend(batch)
-            if cache is not None and key is not None:
-                cache.store(module.relpath, key, batch, program.root)
-    for spec in program_specs:
-        findings.extend(spec.func(program, cfg))
-    return findings, reanalyzed
-
-
 def run_on_program(program: Program, config: StaticCheckConfig | None = None,
-                   rules: Sequence[str] | None = None, *, jobs: int = 1,
-                   cache: ModuleCache | None = None) -> list[Finding]:
-    """Run the selected rules over an already-built program (no baseline).
+                   rules: Sequence[str] | None = None) -> list[Finding]:
+    """Run the selected rules over an already-built program.
 
     Findings come back fingerprinted and sorted; this is the fixture
     corpus's entry point, and ``run_staticcheck`` builds on it.
     """
     cfg = config if config is not None else StaticCheckConfig()
-    findings, _ = _run_rules(program, cfg, _selected_rules(rules),
-                             jobs=jobs, cache=cache)
+    findings: list[Finding] = []
+    for spec in _selected_rules(rules):
+        if spec.kind == "module":
+            for module in program.modules.values():
+                findings.extend(spec.func(module, cfg))
+        else:
+            findings.extend(spec.func(program, cfg))
     return fingerprint_findings(findings, program.root)
 
 
@@ -235,29 +134,14 @@ def run_staticcheck(
     root: Path | None = None,
     config: StaticCheckConfig | None = None,
     rules: Sequence[str] | None = None,
-    baseline: Baseline | None = None,
-    baseline_path: Path | None = None,
-    jobs: int = 1,
-    cache_dir: Path | None = None,
 ) -> AnalysisResult:
-    """Parse, analyze, and gate the given paths (defaults: src/repro, tools).
-
-    ``baseline`` wins over ``baseline_path``; with neither, the
-    committed root baseline is used when present.  ``jobs`` fans module
-    rules over worker processes; ``cache_dir`` enables the incremental
-    module cache — both leave the output byte-identical to a serial
-    cold run.
-    """
+    """Parse and analyze the given paths (defaults: src/repro, tools)."""
     started = time.perf_counter()
     base = root if root is not None else repo_root()
     scope = list(paths) if paths else default_paths(base)
     files = list(iter_python_files(scope))
     program = Program.load(files, base)
-    cfg = config if config is not None else StaticCheckConfig()
-    cache = ModuleCache(Path(cache_dir)) if cache_dir is not None else None
-    raw, reanalyzed = _run_rules(program, cfg, _selected_rules(rules),
-                                 jobs=jobs, cache=cache)
-    findings = fingerprint_findings(raw, program.root)
+    findings = run_on_program(program, config, rules)
     if program.parse_errors:
         findings.extend(fingerprint_findings(
             [Finding(path, 0, "syntax-error", error,
@@ -265,20 +149,10 @@ def run_staticcheck(
              for path, error in program.parse_errors],
             base,
         ))
-    if baseline is None:
-        candidate = (baseline_path if baseline_path is not None
-                     else base / DEFAULT_BASELINE_NAME)
-        baseline = Baseline.load(candidate)
-    new, suppressed, stale = baseline.split(findings)
     return AnalysisResult(
         program=program,
-        findings=new,
-        suppressed=suppressed,
-        stale_entries=stale,
+        findings=findings,
         files_checked=len(files),
         wall_seconds=time.perf_counter() - started,
         parse_errors=list(program.parse_errors),
-        modules_reanalyzed=reanalyzed,
-        cache_hits=cache.hits if cache is not None else 0,
-        jobs=jobs,
     )

@@ -1,4 +1,4 @@
-"""Baseline workflow, report formats, and the ``repro staticcheck`` CLI."""
+"""The gate, report formats, and the ``repro staticcheck`` CLI."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from textwrap import dedent
 
 from repro.cli import main
 from repro.staticcheck.base import StaticCheckConfig
-from repro.staticcheck.baseline import Baseline, BaselineEntry
 from repro.staticcheck.model import Program
 from repro.staticcheck.output import to_sarif
 from repro.staticcheck.runner import run_on_program, run_staticcheck
@@ -20,46 +19,22 @@ _BAD_BUDGET = dedent("""
 """).lstrip("\n")
 
 
+#: The rules the audit in docs/static-analysis.md keeps, and their ids.
+KEPT_RULES = ("no-float", "unseeded-random", "event-registry",
+              "all-consistency", "interval-internals", "float-taint",
+              "determinism", "budget-range", "invariant-safety",
+              "alias-escape")
+KEPT_RULE_IDS = ("no-float", "unseeded-random", "event-registry",
+                 "all-consistency", "interval-internals", "float-taint",
+                 "float-taint-arg", "unordered-iteration", "id-ordering",
+                 "env-read", "time-read", "budget-negative", "budget-int",
+                 "budget-call", "invariant-safety", "interval-alias",
+                 "interval-escape")
+
+
 def _bad_findings():
     program = Program.from_sources({"src/repro/mm/budget.py": _BAD_BUDGET})
     return run_on_program(program, StaticCheckConfig())
-
-
-class TestBaselineRoundTrip:
-    def test_save_load_preserves_entries(self, tmp_path):
-        findings = _bad_findings()
-        baseline = Baseline.from_findings(findings, Path("/virtual"),
-                                          justification="historic debt")
-        target = tmp_path / "baseline.json"
-        baseline.save(target)
-        loaded = Baseline.load(target)
-        assert loaded.fingerprints == baseline.fingerprints
-        assert all(e.justification == "historic debt"
-                   for e in loaded.entries)
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert Baseline.load(tmp_path / "nope.json").entries == []
-
-    def test_split_new_suppressed_stale(self):
-        findings = _bad_findings()
-        assert findings
-        suppressing = Baseline.from_findings(findings[:1], Path("/virtual"))
-        suppressing.entries.append(BaselineEntry(
-            fingerprint="deadbeefdeadbeef", rule="no-float",
-            path="gone.py", message="fixed long ago"))
-        new, suppressed, stale = suppressing.split(findings)
-        assert len(suppressed) == 1
-        assert len(new) == len(findings) - 1
-        assert [e.fingerprint for e in stale] == ["deadbeefdeadbeef"]
-
-    def test_fingerprints_survive_line_shifts(self):
-        shifted = Program.from_sources({
-            "src/repro/mm/budget.py": "# a comment\n\n" + _BAD_BUDGET,
-        })
-        original = {f.fingerprint for f in _bad_findings()}
-        moved = {f.fingerprint
-                 for f in run_on_program(shifted, StaticCheckConfig())}
-        assert original == moved
 
 
 class TestRunStaticcheckGate:
@@ -69,17 +44,11 @@ class TestRunStaticcheckGate:
         (bad / "budget.py").write_text(_BAD_BUDGET, encoding="utf-8")
         return root
 
-    def test_findings_fail_then_baseline_suppresses(self, tmp_path):
+    def test_findings_fail_the_gate(self, tmp_path):
         root = self._write_bad_tree(tmp_path)
         result = run_staticcheck([root / "src"], root=root)
         assert result.exit_code == 1
         assert [f.rule for f in result.findings] == ["no-float"]
-
-        baseline = Baseline.from_findings(result.findings, root)
-        baseline.save(root / ".staticcheck-baseline.json")
-        again = run_staticcheck([root / "src"], root=root)
-        assert again.exit_code == 0
-        assert len(again.suppressed) == 1
 
     def test_syntax_errors_are_findings(self, tmp_path):
         target = tmp_path / "broken.py"
@@ -93,23 +62,19 @@ class TestRunStaticcheckGate:
 class TestSarif:
     def test_structure_and_fingerprints(self):
         findings = _bad_findings()
-        document = json.loads(to_sarif(findings, [], rule_catalog(),
+        document = json.loads(to_sarif(findings, rule_catalog(),
                                        Path("/virtual")))
         assert document["version"] == "2.1.0"
         run = document["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro-staticcheck"
         rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert {"no-float", "float-taint", "unordered-iteration",
-                "unpicklable-field", "budget-negative", "budget-int",
-                "budget-call", "invariant-safety", "interval-alias",
-                "interval-escape", "dead-store", "unreachable-code",
-                "worker-shared-state", "fork-unsafe-resource",
-                "cache-key-completeness", "merge-order"} <= rule_ids
+        assert rule_ids == set(KEPT_RULE_IDS)
         tiers = {rule["id"]: rule["properties"]["tier"]
                  for rule in run["tool"]["driver"]["rules"]
                  if "properties" in rule}
-        assert tiers["worker-shared-state"] == "concurrency"
-        assert tiers["dead-store"] == "dataflow"
+        assert tiers["unordered-iteration"] == "interprocedural"
+        assert tiers["budget-negative"] == "dataflow"
+        assert tiers["interval-escape"] == "dataflow"
         assert tiers["float-taint"] == "interprocedural"
         assert tiers["no-float"] == "lexical"
         results = run["results"]
@@ -119,18 +84,20 @@ class TestSarif:
             assert record["locations"][0]["physicalLocation"][
                 "artifactLocation"]["uri"].endswith("budget.py")
 
-    def test_suppressed_findings_carry_suppressions(self):
-        findings = _bad_findings()
-        document = json.loads(to_sarif([], findings, rule_catalog(),
-                                       Path("/virtual")))
-        for record in document["runs"][0]["results"]:
-            assert record["suppressions"]
+    def test_fingerprints_survive_line_shifts(self):
+        shifted = Program.from_sources({
+            "src/repro/mm/budget.py": "# a comment\n\n" + _BAD_BUDGET,
+        })
+        original = {f.fingerprint for f in _bad_findings()}
+        moved = {f.fingerprint
+                 for f in run_on_program(shifted, StaticCheckConfig())}
+        assert original == moved
 
 
 class TestCli:
     def _bad_file(self, tmp_path: Path) -> Path:
         target = tmp_path / "snippet.py"
-        target.write_text("try:\n    x = 1\nexcept:\n    pass\n",
+        target.write_text("import random\n\nx = random.random()\n",
                           encoding="utf-8")
         return target
 
@@ -142,10 +109,10 @@ class TestCli:
 
     def test_findings_exit_one(self, tmp_path, capsys):
         target = self._bad_file(tmp_path)
-        status = main(["staticcheck", str(target), "--no-baseline"])
+        status = main(["staticcheck", str(target)])
         output = capsys.readouterr().out
         assert status == 1
-        assert "bare-except" in output
+        assert "unseeded-random" in output
 
     def test_unknown_rule_exits_two(self, capsys):
         assert main(["staticcheck", "--rules", "no-such-rule"]) == 2
@@ -153,122 +120,39 @@ class TestCli:
         assert "unknown rule" in err
         # The error is actionable: the full catalog is printed.
         assert "available rules:" in err
-        for name in ("budget-range", "invariant-safety", "alias-escape",
-                     "dead-flow", "no-float"):
+        for name in KEPT_RULES:
             assert name in err
-
-    def _bad_pair(self, tmp_path: Path) -> Path:
-        tree = tmp_path / "pair"
-        tree.mkdir()
-        (tree / "one.py").write_text(
-            "try:\n    x = 1\nexcept:\n    pass\n", encoding="utf-8")
-        (tree / "two.py").write_text(
-            "import os\n\n\ndef f():\n    return 1\n", encoding="utf-8")
-        return tree
-
-    def test_jobs_output_is_byte_identical(self, tmp_path, capsys):
-        tree = self._bad_pair(tmp_path)
-        main(["staticcheck", str(tree), "--no-baseline", "--format", "json"])
-        serial = capsys.readouterr().out
-        main(["staticcheck", str(tree), "--no-baseline", "--format", "json",
-              "--jobs", "4"])
-        parallel = capsys.readouterr().out
-        assert parallel == serial
-
-    def test_cache_dir_reports_reuse(self, tmp_path, capsys):
-        tree = self._bad_pair(tmp_path)
-        cache = tmp_path / "cache"
-        main(["staticcheck", str(tree), "--no-baseline",
-              "--cache-dir", str(cache)])
-        first = capsys.readouterr().err
-        assert "0 modules reused, 2 re-analyzed" in first
-        main(["staticcheck", str(tree), "--no-baseline",
-              "--cache-dir", str(cache)])
-        second = capsys.readouterr().err
-        assert "2 modules reused, 0 re-analyzed" in second
 
     def test_rule_filter_runs_only_that_rule(self, tmp_path, capsys):
         target = self._bad_file(tmp_path)
-        status = main(["staticcheck", str(target), "--no-baseline",
-                       "--rules", "unused-import"])
+        status = main(["staticcheck", str(target),
+                       "--rules", "all-consistency"])
         assert status == 0
         assert "0 findings" in capsys.readouterr().out
 
     def test_json_format(self, tmp_path, capsys):
         target = self._bad_file(tmp_path)
-        main(["staticcheck", str(target), "--no-baseline",
-              "--format", "json"])
+        main(["staticcheck", str(target), "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["finding_count"] == 1
-        assert payload["findings"][0]["rule"] == "bare-except"
+        assert payload["findings"][0]["rule"] == "unseeded-random"
 
     def test_sarif_output_file(self, tmp_path, capsys):
         target = self._bad_file(tmp_path)
         out = tmp_path / "report.sarif"
-        status = main(["staticcheck", str(target), "--no-baseline",
+        status = main(["staticcheck", str(target),
                        "--format", "sarif", "--output", str(out)])
         assert status == 1
         assert "FAIL" in capsys.readouterr().out
         document = json.loads(out.read_text(encoding="utf-8"))
         assert document["runs"][0]["results"]
 
-    def test_update_baseline_then_clean(self, tmp_path, capsys):
-        target = self._bad_file(tmp_path)
-        baseline_path = tmp_path / "baseline.json"
-        status = main(["staticcheck", str(target),
-                       "--baseline", str(baseline_path),
-                       "--update-baseline", "--allow-unjustified"])
-        assert status == 0
-        assert baseline_path.exists()
-        capsys.readouterr()
-        status = main(["staticcheck", str(target),
-                       "--baseline", str(baseline_path)])
-        output = capsys.readouterr().out
-        assert status == 0, output
-        assert "1 baselined" in output
-
-    def test_update_baseline_rejects_placeholder_justifications(
-            self, tmp_path, capsys):
-        target = self._bad_file(tmp_path)
-        baseline_path = tmp_path / "baseline.json"
-        status = main(["staticcheck", str(target),
-                       "--baseline", str(baseline_path),
-                       "--update-baseline"])
-        captured = capsys.readouterr()
-        assert status == 1
-        assert not baseline_path.exists()
-        assert "lack a justification" in captured.err
-        assert "--allow-unjustified" in captured.err
-
-    def test_update_baseline_preserves_edited_justifications(
-            self, tmp_path, capsys):
-        target = self._bad_file(tmp_path)
-        baseline_path = tmp_path / "baseline.json"
-        main(["staticcheck", str(target), "--baseline", str(baseline_path),
-              "--update-baseline", "--allow-unjustified"])
-        payload = json.loads(baseline_path.read_text(encoding="utf-8"))
-        payload["entries"][0]["justification"] = "legacy snippet, reviewed"
-        baseline_path.write_text(json.dumps(payload), encoding="utf-8")
-        capsys.readouterr()
-        # A justified baseline re-updates cleanly without the escape hatch,
-        # and the hand-written justification survives the rewrite.
-        status = main(["staticcheck", str(target),
-                       "--baseline", str(baseline_path),
-                       "--update-baseline"])
-        assert status == 0, capsys.readouterr().err
-        reloaded = json.loads(baseline_path.read_text(encoding="utf-8"))
-        assert reloaded["entries"][0]["justification"] == (
-            "legacy snippet, reviewed")
-
     def test_list_rules_covers_passes_and_lint(self, capsys):
         assert main(["staticcheck", "--list-rules"]) == 0
         output = capsys.readouterr().out
-        for name in ("float-taint", "determinism", "pickle", "no-float",
-                     "interval-internals", "budget-range",
-                     "invariant-safety", "alias-escape", "dead-flow",
-                     "worker-shared-state", "fork-unsafe-resource",
-                     "cache-key-completeness", "merge-order"):
-            assert name in output
+        listed = [line.split()[0] for line in output.splitlines()
+                  if line.startswith("  ") and not line.startswith("    ")]
+        assert sorted(listed) == sorted(KEPT_RULES)
 
     def test_list_rules_groups_by_tier(self, capsys):
         assert main(["staticcheck", "--list-rules"]) == 0
@@ -276,8 +160,11 @@ class TestCli:
         headers = [line for line in output.splitlines()
                    if line.endswith(" tier:")]
         assert headers == ["lexical tier:", "interprocedural tier:",
-                           "dataflow tier:", "concurrency tier:"]
+                           "dataflow tier:"]
         # Every catalog entry sits under its tier header.
-        assert output.index("concurrency tier:") < output.index(
-            "worker-shared-state")
-        assert output.index("dataflow tier:") < output.index("dead-flow")
+        assert output.index("dataflow tier:") < output.index(
+            "budget-range [program]")
+        assert output.index("interprocedural tier:") < output.index(
+            "float-taint [program]") < output.index("dataflow tier:")
+        assert output.index("no-float [module]") < output.index(
+            "interprocedural tier:")

@@ -1,9 +1,9 @@
-"""The worklist solver and its stock lattices, tested in isolation.
+"""The worklist solver and its interval lattice, tested in isolation.
 
 The flow passes get their own tests; here the question is whether the
-*engine* is right — liveness runs backward, reaching definitions merge
-over branches, the interval domain refines on guards, terminates on
-counting loops (widening) and honours validator-style parameter seeds.
+*engine* is right — the interval domain refines on guards, terminates
+on counting loops (widening) and honours validator-style parameter
+seeds.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from repro.staticcheck.cfg import build_cfg
 from repro.staticcheck.dataflow import (
     IntervalAnalysis,
     IntRange,
-    Liveness,
-    ReachingDefinitions,
     solve,
 )
 
@@ -31,100 +29,8 @@ def _block_of(cfg, predicate):
     return block
 
 
-def _assign_to(name):
-    def predicate(block):
-        node = block.node
-        return (isinstance(node, ast.Assign)
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id == name)
-    return predicate
-
-
 def _aug_assign_line(line):
     return lambda b: isinstance(b.node, ast.AugAssign) and b.line == line
-
-
-# ---------------------------------------------------------------------------
-# Liveness
-# ---------------------------------------------------------------------------
-
-
-def test_liveness_overwritten_store_is_dead():
-    cfg, _ = _cfg_of("""
-        def f(n):
-            x = expensive(n)
-            x = 0
-            return x
-    """)
-    _, out_states = solve(cfg, Liveness())
-    first = _block_of(cfg, lambda b: b.line == 2)
-    second = _block_of(cfg, lambda b: b.line == 3)
-    # x is not live after the first store (the second kills it), but is
-    # live after the second (the return reads it).
-    assert "x" not in out_states[first.index]
-    assert "x" in out_states[second.index]
-
-
-def test_liveness_sees_uses_on_only_one_branch():
-    cfg, _ = _cfg_of("""
-        def f(flag, n):
-            y = n * 2
-            if flag:
-                return y
-            return 0
-    """)
-    _, out_states = solve(cfg, Liveness())
-    store = _block_of(cfg, lambda b: b.line == 2)
-    assert "y" in out_states[store.index]
-
-
-def test_liveness_aug_assign_reads_its_target():
-    cfg, _ = _cfg_of("""
-        def f(n):
-            total = 0
-            total += n
-            return total
-    """)
-    _, out_states = solve(cfg, Liveness())
-    init = _block_of(cfg, lambda b: b.line == 2)
-    assert "total" in out_states[init.index]
-
-
-# ---------------------------------------------------------------------------
-# Reaching definitions
-# ---------------------------------------------------------------------------
-
-
-def test_reaching_definitions_merge_over_branches():
-    cfg, _ = _cfg_of("""
-        def f(flag):
-            if flag:
-                x = 1
-            else:
-                x = 2
-            return x
-    """)
-    in_states, _ = solve(cfg, ReachingDefinitions(params=("flag",)))
-    ret = _block_of(cfg, lambda b: isinstance(b.node, ast.Return))
-    then_def = _block_of(cfg, lambda b: b.line == 3)
-    else_def = _block_of(cfg, lambda b: b.line == 5)
-    sites = in_states[ret.index]["x"]
-    assert sites == frozenset({then_def.index, else_def.index})
-    # The parameter's synthetic definition site reaches everywhere.
-    assert in_states[ret.index]["flag"] == frozenset({-1})
-
-
-def test_reaching_definitions_kill_on_redefinition():
-    cfg, _ = _cfg_of("""
-        def f():
-            x = 1
-            x = 2
-            return x
-    """)
-    in_states, _ = solve(cfg, ReachingDefinitions())
-    ret = _block_of(cfg, lambda b: isinstance(b.node, ast.Return))
-    second = _block_of(cfg, lambda b: b.line == 3)
-    assert in_states[ret.index]["x"] == frozenset({second.index})
 
 
 # ---------------------------------------------------------------------------

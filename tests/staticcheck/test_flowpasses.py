@@ -3,8 +3,8 @@
 The fixture corpus (``test_corpus.py``) proves each pass fires on its
 seeded bug; these tests pin the *negative space* — the idioms each pass
 must stay quiet about (rollback in a handler, lone opens, conditional
-closes, closure reads, pragma suppressions) — and the provenance of
-what it reports.
+closes, copies, pragma suppressions) — and the provenance of what it
+reports.
 """
 
 from __future__ import annotations
@@ -147,73 +147,8 @@ def test_escape_through_tuple_return_is_flagged():
 
 
 # ---------------------------------------------------------------------------
-# dead-flow
-# ---------------------------------------------------------------------------
-
-
-def test_dead_store_skips_underscore_and_closure_names():
-    findings = _findings({"src/repro/sim/planner.py": """
-        def plan(n):
-            _ignored = audit(n)
-            factor = n * 2
-
-            def scale(x):
-                return x * factor
-            return scale
-    """}, "dead-flow")
-    assert findings == []
-
-
-def test_dead_store_message_hints_to_keep_the_call():
-    findings = _findings({"src/repro/sim/planner.py": """
-        def plan(n):
-            total = audit(n)
-            total = 0
-            return total
-    """}, "dead-flow")
-    assert len(findings) == 1
-    assert findings[0].rule == "dead-store"
-    assert "keep the call" in findings[0].message
-
-
-def test_deadflow_pragma_suppresses():
-    findings = _findings({"src/repro/sim/planner.py": """
-        def plan(n):
-            total = audit(n)  # lint: deadflow-ok
-            total = 0
-            return total
-    """}, "dead-flow")
-    assert findings == []
-
-
-def test_unreachable_finally_duplicate_lines_are_not_flagged():
-    # The finally suite is duplicated per continuation; the unused
-    # normal-path copy must not surface as unreachable code when the
-    # same line is reachable on another copy.
-    findings = _findings({"src/repro/sim/runner.py": """
-        def run(task):
-            try:
-                return task.execute()
-            finally:
-                task.close()
-    """}, "dead-flow")
-    assert findings == []
-
-
-def test_unreachable_region_reports_its_head_once():
-    findings = _findings({"src/repro/sim/runner.py": """
-        def run(task):
-            return task.total
-            task.close()
-            task.flush()
-            task.audit()
-    """}, "dead-flow")
-    assert [f.rule for f in findings] == ["unreachable-code"]
-    assert findings[0].line == 3
-
-
-# ---------------------------------------------------------------------------
-# the lexical interval-internals rule still works through its delegate
+# the lexical interval-internals rule, which shares alias-escape's
+# internals set
 # ---------------------------------------------------------------------------
 
 

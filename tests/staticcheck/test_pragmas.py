@@ -1,9 +1,9 @@
 """Pragma semantics: statement-span suppression, multi-line regression.
 
-The old ``lint_repro`` rule only honoured ``# lint: float-ok`` on the
-exact line carrying the float token, so a pragma on any other line of a
-multi-line expression was ignored (the documented workaround was
-contorting the formatting).  ``exempt_lines`` fixes this: the pragma
+The original per-line ``no-float`` rule only honoured ``# lint:
+float-ok`` on the exact line carrying the float token, so a pragma on
+any other line of a multi-line expression was ignored (the documented
+workaround was contorting the formatting).  ``exempt_lines`` fixes this: the pragma
 exempts the innermost *statement* covering its line — and only that
 statement, so a pragma on a ``def`` header does not silence the body.
 """
@@ -121,18 +121,4 @@ class TestOtherPragmas:
         """).lstrip("\n")})
         findings = run_on_program(program, StaticCheckConfig(),
                                   rules=["determinism"])
-        assert findings == []
-
-    def test_pickle_ok_suppresses_global_mutation(self):
-        program = Program.from_sources({
-            "src/repro/parallel/tasks.py": dedent("""
-                HISTORY = []
-
-
-                def run_task(task):
-                    HISTORY.append(task)  # lint: pickle-ok
-                    return task
-            """).lstrip("\n")})
-        findings = run_on_program(program, StaticCheckConfig(),
-                                  rules=["pickle"])
         assert findings == []

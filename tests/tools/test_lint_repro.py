@@ -1,20 +1,29 @@
-"""Tests for the repository lint gate (tools/lint_repro.py)."""
+"""Tests for the repository lint: the lexical rules of ``repro staticcheck``.
+
+The lexical tier (:mod:`repro.staticcheck.rules_lint`) is the part of the
+analyzer that needs one parsed file and nothing else.  These tests lint
+synthetic files the way ``repro staticcheck --rules <lexical rules>``
+does and pin each rule's edges: pragmas, scopes, conditional bindings,
+and the exit status of the command.
+"""
 
 from __future__ import annotations
 
-import importlib.util
-import sys
 from pathlib import Path
+
+from repro.cli import main
+from repro.staticcheck import rule_catalog
+from repro.staticcheck.base import StaticCheckConfig
+from repro.staticcheck.model import Program
+from repro.staticcheck.runner import run_on_program, run_staticcheck
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
-_spec = importlib.util.spec_from_file_location(
-    "lint_repro", REPO_ROOT / "tools" / "lint_repro.py"
-)
-assert _spec is not None and _spec.loader is not None
-lint_repro = importlib.util.module_from_spec(_spec)
-sys.modules["lint_repro"] = lint_repro  # dataclasses needs the module entry
-_spec.loader.exec_module(lint_repro)
+#: Every lexical rule, in catalog order.
+LEXICAL_RULES = [spec.name for spec in rule_catalog()
+                 if spec.tier == "lexical"]
+
+_CONFIG = StaticCheckConfig()
 
 
 def _findings(tmp_path, source: str, *, relpath: str = "snippet.py"):
@@ -22,17 +31,21 @@ def _findings(tmp_path, source: str, *, relpath: str = "snippet.py"):
     target = tmp_path / relpath
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(source, encoding="utf-8")
-    return [finding.rule for finding in lint_repro.lint_file(target)]
+    result = run_staticcheck([target], root=tmp_path, rules=LEXICAL_RULES)
+    return [finding.rule for finding in result.findings]
+
+
+def _rule_on(relpath: str, source: str, rule: str):
+    """Run one rule on an in-memory module laid out at ``relpath``."""
+    program = Program.from_sources({relpath: source})
+    return run_on_program(program, _CONFIG, rules=[rule])
 
 
 class TestNoFloatRule:
     def _lint_scoped(self, source: str):
-        """Run just the no-float rule, bypassing the repo-path scoping."""
-        import ast
-
-        tree = ast.parse(source)
-        return [f.rule for f in lint_repro.check_no_float(
-            Path("scoped.py"), tree, source)]
+        """Run just the no-float rule on a budget-critical file."""
+        return [f.rule for f in _rule_on("src/repro/mm/budget.py", source,
+                                         "no-float")]
 
     def test_flags_float_literal_division_and_cast(self):
         source = "x = 0.5\ny = a / b\nz = float(a)\n"
@@ -47,12 +60,9 @@ class TestNoFloatRule:
         assert self._lint_scoped(source) == []
 
     def test_scope_covers_budget_and_exact(self):
-        assert lint_repro._in_no_float_scope(
-            REPO_ROOT / "src/repro/mm/budget.py")
-        assert lint_repro._in_no_float_scope(
-            REPO_ROOT / "src/repro/exact/game.py")
-        assert not lint_repro._in_no_float_scope(
-            REPO_ROOT / "src/repro/analysis/experiments.py")
+        assert _CONFIG.is_float_sink("src/repro/mm/budget.py")
+        assert _CONFIG.is_float_sink("src/repro/exact/game.py")
+        assert not _CONFIG.is_float_sink("src/repro/analysis/experiments.py")
 
 
 class TestUnseededRandomRule:
@@ -94,42 +104,13 @@ class TestAllConsistencyRule:
         assert _findings(tmp_path, source) == []
 
 
-class TestBareExceptRule:
-    def test_flags_bare_except(self, tmp_path):
-        source = "try:\n    x = 1\nexcept:\n    pass\n"
-        assert "bare-except" in _findings(tmp_path, source)
-
-    def test_typed_except_is_clean(self, tmp_path):
-        source = "try:\n    x = 1\nexcept ValueError:\n    pass\n"
-        assert "bare-except" not in _findings(tmp_path, source)
-
-
-class TestUnusedImportRule:
-    def test_flags_dead_import(self, tmp_path):
-        assert _findings(tmp_path, "import json\nx = 1\n") == ["unused-import"]
-
-    def test_string_forward_reference_counts_as_use(self, tmp_path):
-        source = (
-            "from typing import TYPE_CHECKING\n"
-            "if TYPE_CHECKING:\n    from json import JSONDecoder\n"
-            'def f(x: "JSONDecoder") -> None: ...\n'
-        )
-        assert _findings(tmp_path, source) == []
-
-    def test_reexport_via_all_counts_as_use(self, tmp_path):
-        source = 'from json import loads\n__all__ = ["loads"]\n'
-        assert _findings(tmp_path, source) == []
-
-
 class TestEventRegistryRule:
     def test_real_events_module_is_clean(self):
         path = REPO_ROOT / "src" / "repro" / "obs" / "events.py"
-        rules = [finding.rule for finding in lint_repro.lint_file(path)]
-        assert rules == []
+        result = run_staticcheck([path], root=REPO_ROOT, rules=LEXICAL_RULES)
+        assert [finding.rule for finding in result.findings] == []
 
-    def test_unregistered_event_is_flagged(self, tmp_path):
-        import ast
-
+    def test_unregistered_event_is_flagged(self):
         source = (
             "class TelemetryEvent: ...\n"
             "class Rogue(TelemetryEvent):\n"
@@ -137,8 +118,7 @@ class TestEventRegistryRule:
             "_EVENT_TYPES = {}\n"
             "__all__ = []\n"
         )
-        findings = list(lint_repro.check_event_registry(
-            Path("events.py"), ast.parse(source)))
+        findings = _rule_on(_CONFIG.events_module, source, "event-registry")
         assert {finding.rule for finding in findings} == {"event-registry"}
         assert len(findings) == 2  # unregistered AND unexported
 
@@ -170,20 +150,17 @@ class TestIntervalInternalsRule:
         assert _findings(tmp_path, source) == []
 
     def test_heap_package_is_exempt(self):
-        assert lint_repro._in_heap_package(
-            REPO_ROOT / "src/repro/heap/intervals.py")
-        assert lint_repro._in_heap_package(
-            REPO_ROOT / "src/repro/heap/gap_index.py")
-        assert not lint_repro._in_heap_package(
-            REPO_ROOT / "src/repro/mm/base.py")
-        assert not lint_repro._in_heap_package(
-            REPO_ROOT / "tests/heap/test_intervals.py")
+        assert _CONFIG.in_heap_package("src/repro/heap/intervals.py")
+        assert _CONFIG.in_heap_package("src/repro/heap/gap_index.py")
+        assert not _CONFIG.in_heap_package("src/repro/mm/base.py")
+        assert not _CONFIG.in_heap_package("tests/heap/test_intervals.py")
 
 
 class TestRepoIsClean:
     def test_src_and_tools_pass(self, capsys):
-        status = lint_repro.main([
-            str(REPO_ROOT / "src" / "repro"), str(REPO_ROOT / "tools"),
+        status = main([
+            "staticcheck", str(REPO_ROOT / "src" / "repro"),
+            str(REPO_ROOT / "tools"), "--rules", ",".join(LEXICAL_RULES),
         ])
         output = capsys.readouterr().out
         assert status == 0, output
@@ -191,6 +168,7 @@ class TestRepoIsClean:
 
     def test_exit_status_nonzero_on_findings(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
-        bad.write_text("try:\n    x = 1\nexcept:\n    pass\n")
-        assert lint_repro.main([str(bad)]) == 1
-        assert "bare-except" in capsys.readouterr().out
+        bad.write_text("import random\n\nx = random.random()\n")
+        assert main(["staticcheck", str(bad),
+                     "--rules", ",".join(LEXICAL_RULES)]) == 1
+        assert "unseeded-random" in capsys.readouterr().out

@@ -16,8 +16,13 @@ bus — and fails if the subscriber-free bus is more than
 more than ``--no-trace-threshold`` (default 1.5, target ~1.05) times
 slower, instrumentation more than ``--threshold`` (default 2.0) times
 slower, or sanitizing more than ``--sanitize-threshold`` (default 6.0)
-times slower than the baseline.  Each variant runs ``--repeats`` times and the *minimum* wall
-time is compared, the standard trick to suppress scheduler noise.
+times slower than the baseline.
+
+Each run is timed in process CPU time (``time.process_time``), so time
+the process spends descheduled on a shared host does not count.  The
+variants are interleaved: each of the ``--repeats`` rounds runs every
+variant once, so a noisy stretch slows all of them alike, and the
+*minimum* per variant is compared.
 
 Usage::
 
@@ -56,7 +61,7 @@ MANAGER = "sliding-compactor"
 
 @dataclass(frozen=True)
 class OverheadReport:
-    """Minimum wall times (seconds) and their ratios.
+    """Minimum CPU times (seconds) and their ratios.
 
     ``sanitized_s`` / ``no_sink_s`` are ``None`` when those variants
     were not measured (the default for :func:`measure`, keeping the
@@ -154,9 +159,9 @@ class OverheadReport:
 def _run_baseline() -> float:
     program = PFProgram(PARAMS)
     driver = ExecutionDriver(PARAMS, create_manager(MANAGER, PARAMS))
-    start = time.perf_counter()
+    start = time.process_time()
     driver.run(program)
-    return time.perf_counter() - start
+    return time.process_time() - start
 
 
 def _run_no_sink() -> float:
@@ -169,9 +174,9 @@ def _run_no_sink() -> float:
     driver = ExecutionDriver(
         PARAMS, create_manager(MANAGER, PARAMS), observer=bus
     )
-    start = time.perf_counter()
+    start = time.process_time()
     driver.run(program)
-    return time.perf_counter() - start
+    return time.process_time() - start
 
 
 def _run_trace_disabled() -> float:
@@ -185,9 +190,9 @@ def _run_trace_disabled() -> float:
     driver = ExecutionDriver(
         PARAMS, create_manager(MANAGER, PARAMS), tracer=tracer
     )
-    start = time.perf_counter()
+    start = time.process_time()
     driver.run(program)
-    return time.perf_counter() - start
+    return time.process_time() - start
 
 
 def _run_instrumented() -> float:
@@ -198,9 +203,9 @@ def _run_instrumented() -> float:
         PARAMS, create_manager(MANAGER, PARAMS), observer=telemetry.bus
     )
     telemetry.bind(driver)
-    start = time.perf_counter()
+    start = time.process_time()
     driver.run(program)
-    return time.perf_counter() - start
+    return time.process_time() - start
 
 
 def _run_sanitized() -> float:
@@ -216,16 +221,16 @@ def _run_sanitized() -> float:
         PARAMS, create_manager(MANAGER, PARAMS), observer=telemetry.bus
     )
     telemetry.bind(driver)
-    start = time.perf_counter()
+    start = time.process_time()
     driver.run(program)
     sanitizer.finish()
-    return time.perf_counter() - start
+    return time.process_time() - start
 
 
 def measure(repeats: int = 3, *, sanitize: bool = False,
             no_sink: bool = False,
             trace_disabled: bool = False) -> OverheadReport:
-    """Run the variants ``repeats`` times each; compare the minima.
+    """Run ``repeats`` interleaved rounds of the variants; compare minima.
 
     ``sanitize=False`` (the default) measures baseline vs instrumented
     only, preserving the historical interface; ``sanitize=True`` adds
@@ -236,17 +241,19 @@ def measure(repeats: int = 3, *, sanitize: bool = False,
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    baseline = min(_run_baseline() for _ in range(repeats))
-    instrumented = min(_run_instrumented() for _ in range(repeats))
-    sanitized = (min(_run_sanitized() for _ in range(repeats))
-                 if sanitize else None)
-    empty_bus = (min(_run_no_sink() for _ in range(repeats))
-                 if no_sink else None)
-    traceless = (min(_run_trace_disabled() for _ in range(repeats))
-                 if trace_disabled else None)
-    return OverheadReport(baseline_s=baseline, instrumented_s=instrumented,
-                          sanitized_s=sanitized, no_sink_s=empty_bus,
-                          trace_disabled_s=traceless)
+    variants = {"baseline_s": _run_baseline,
+                "instrumented_s": _run_instrumented}
+    if sanitize:
+        variants["sanitized_s"] = _run_sanitized
+    if no_sink:
+        variants["no_sink_s"] = _run_no_sink
+    if trace_disabled:
+        variants["trace_disabled_s"] = _run_trace_disabled
+    best = dict.fromkeys(variants, float("inf"))
+    for _ in range(repeats):
+        for name, run in variants.items():
+            best[name] = min(best[name], run())
+    return OverheadReport(**best)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -262,7 +269,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="maximum tolerated disabled-tracer/baseline "
                              "ratio (target is ~1.05)")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="runs per variant (minimum is compared)")
+                        help="interleaved rounds, one run of each variant "
+                             "per round (minimum is compared)")
     parser.add_argument("--no-sanitize", action="store_true",
                         help="skip the sanitizer-loaded variant")
     parser.add_argument("--bench-out", metavar="DIR", default=None,

@@ -47,11 +47,10 @@ MODULES = [
     "repro.staticcheck", "repro.staticcheck.base",
     "repro.staticcheck.model", "repro.staticcheck.callgraph",
     "repro.staticcheck.rules_lint", "repro.staticcheck.taint",
-    "repro.staticcheck.determinism", "repro.staticcheck.picklecheck",
+    "repro.staticcheck.determinism",
     "repro.staticcheck.cfg", "repro.staticcheck.dataflow",
     "repro.staticcheck.budget_range", "repro.staticcheck.flowpasses",
-    "repro.staticcheck.cache",
-    "repro.staticcheck.baseline", "repro.staticcheck.output",
+    "repro.staticcheck.output",
     "repro.staticcheck.runner", "repro.staticcheck.fixtures",
     "repro.cli",
 ]
