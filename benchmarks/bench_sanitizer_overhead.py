@@ -5,7 +5,8 @@ perf trajectory: the same :math:`P_F` execution baseline (no observer),
 with a subscriber-free bus (tape rows only, no event objects — the
 price every unarchived parallel-engine task pays for its digest;
 target overhead ≤5%), instrumented (full telemetry), and
-sanitized (telemetry plus the whole :mod:`repro.check` checker set).
+sanitized (telemetry plus the whole :mod:`repro.check` checker set,
+each checker one pass over the run's tape at the end of the run).
 The ratios land in the ``BENCH_JSON`` record so a commit that makes the
 checkers quadratic — or re-inflates event construction on the no-sink
 path — shows up as a trajectory jump, not a mystery slowdown.

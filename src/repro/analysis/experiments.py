@@ -106,7 +106,7 @@ def _run_row(
     """One grid cell: plain execution, or a recorded one when requested.
 
     With ``telemetry_dir`` set, the row runs fully instrumented and its
-    manifest/JSONL pair lands in ``<dir>/<program>__<manager>/`` —
+    manifest/tape pair lands in ``<dir>/<program>__<manager>/`` —
     renderable individually with ``repro report``.  With ``sanitize``
     set, the full :mod:`repro.check` checker set rides the run and an
     :class:`~repro.check.InvariantViolationError` aborts the grid on the
@@ -138,14 +138,15 @@ def _run_row(
     from ..obs.telemetry import run_recorded  # local: avoid import cycle
 
     row_dir = Path(telemetry_dir) / f"{program.name}__{manager_name}"
+    drivers: list = []
     result = run_recorded(
         params, program, manager, row_dir,
-        extra_sinks=None if sanitizer is None else [sanitizer],
+        on_driver=drivers.append,
         tracer=tracer,
         kernel=kernel,
     )
     if sanitizer is not None:
-        sanitizer.finish()
+        sanitizer.attach(drivers[0].observer).finish()
     return result
 
 
@@ -217,7 +218,7 @@ def robson_experiment(
 
     The reference bound is Robson's lower bound factor — every row's
     measured waste must be at or above it.  ``telemetry_dir`` records
-    each row as a manifest/JSONL run under a per-row subdirectory;
+    each row as a manifest/tape run under a per-row subdirectory;
     ``sanitize`` runs the :mod:`repro.check` checkers alongside.
     ``jobs``/``cache_dir`` fan the grid over the parallel engine —
     available only on the plain path (telemetry and sanitizer runs need
@@ -256,7 +257,7 @@ def pf_experiment(
 
     The reference is the Theorem-1 factor ``h`` at the adversary's
     density exponent — the theorem says *no* c-partial manager can stay
-    below it.  ``telemetry_dir`` records each row as a manifest/JSONL
+    below it.  ``telemetry_dir`` records each row as a manifest/tape
     run under a per-row subdirectory; ``sanitize`` runs the
     :mod:`repro.check` checkers alongside.  ``jobs``/``cache_dir``
     route the grid through the parallel engine on the plain path

@@ -3,9 +3,10 @@
 See :mod:`repro.check.base` for the framework and ``docs/static-analysis.md``
 for the checker-by-checker description.  Entry points:
 
-* ``repro check <run-dir-or-trace.jsonl>`` — offline static analysis of
+* ``repro check <run-dir-or-event-file>`` — offline static analysis of
   a recorded run;
-* ``repro simulate/experiment --sanitize`` — the same checkers online;
+* ``repro simulate/experiment --sanitize`` — the same checkers over the
+  live run's tape, at its end;
 * :func:`~repro.check.runner.run_checkers` /
   :class:`~repro.check.runner.Sanitizer` — the library API.
 """

@@ -9,29 +9,33 @@ heap sanitizer: the enforcement code could be wrong, the instrumentation
 could be wrong, a recorded trace could be corrupted — a checker that
 recomputes the invariant from raw events catches all three.
 
-A :class:`Checker` is a push-style consumer: :meth:`Checker.feed` takes
-one :class:`~repro.obs.events.TelemetryEvent` at a time (online as a bus
-subscriber, or offline replaying a JSONL trace), :meth:`Checker.finalize`
-closes end-of-stream obligations, and every divergence is recorded as a
-:class:`Violation` rather than raised — a sanitizer reports everything it
-finds, it does not stop at the first bad event.
+A :class:`Checker` reads a run's :class:`~repro.obs.tape.EventTape` —
+the columns a bus recorded (online, at the end of a ``--sanitize`` run)
+or a run directory stored (offline, ``repro check``) — in one pass,
+:meth:`Checker.check`, end-of-stream obligations included.  No event
+objects are built: a checker walks the rows of the kinds it reads
+(:func:`walk`), keeping exact running sums and shadow state, or hashes
+the columns (``determinism``).  Every divergence is recorded as a
+:class:`Violation` rather than raised — a sanitizer reports everything
+it finds, it does not stop at the first bad event.
 
 :class:`CheckContext` carries the run's contract parameters (``M``,
 ``n``, ``c``...) — from :class:`~repro.core.params.BoundParams` online,
 or from a recorded run's ``manifest.json`` offline.  Every field is
 optional: a checker skips exactly those checks whose parameters are
-unknown (a bare ``events.jsonl`` with no manifest still gets the
+unknown (a bare event file with no manifest still gets the
 parameter-free checks).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.params import BoundParams
-    from ..obs.events import TelemetryEvent
+    from ..obs.tape import EventTape
 
 __all__ = [
     "Violation",
@@ -40,6 +44,7 @@ __all__ = [
     "CheckReport",
     "InvariantViolationError",
     "POWER_OF_TWO_PROGRAMS",
+    "walk",
 ]
 
 #: Program families whose allocation sizes the model restricts to powers
@@ -148,12 +153,25 @@ class CheckContext:
         )
 
 
+def walk(tape: "EventTape", handlers: Mapping[int, Callable[..., None]]) -> None:
+    """Call ``handlers[code](seq, *fields)`` for each row of those kinds.
+
+    Rows come in ``seq`` order; ``fields`` are the row's event fields
+    in dataclass order (:meth:`~repro.obs.tape.EventTape.columns`).
+    Each kind's calls are one lazy ``map`` over its columns, advanced
+    once per row of that kind, so the loop itself runs in C.
+    """
+    calls = {code: map(handler, tape.seqs(code), *tape.columns(code))
+             for code, handler in handlers.items()}
+    deque(map(next, map(calls.__getitem__, tape.select(handlers))), maxlen=0)
+
+
 class Checker:
-    """Base class: feed events, collect :class:`Violation` records.
+    """Base class: one pass over a tape, collecting :class:`Violation` records.
 
     Subclasses set :attr:`name` (stable identifier) and
     :attr:`invariant` (the paper invariant being re-derived, for docs
-    and reports), and override :meth:`feed` / :meth:`finalize`.
+    and reports), and override :meth:`check`.
     """
 
     #: Stable checker identifier (keys reports and fixture tests).
@@ -174,11 +192,8 @@ class Checker:
         """Record one violation (never raises)."""
         self.violations.append(Violation(self.name, rule, seq, message))
 
-    def feed(self, event: "TelemetryEvent") -> None:
-        """Consume one event in ``seq`` order."""
-
-    def finalize(self) -> None:
-        """End of stream: settle any outstanding obligations."""
+    def check(self, tape: "EventTape") -> None:
+        """Check every row of ``tape``, end-of-stream obligations included."""
 
 
 @dataclass

@@ -14,7 +14,11 @@ nothing) — and flags:
 * a ``BudgetCharge`` whose ``remaining`` drifts from the exactly
   recomputed remaining budget (``ledger-drift``) — the live ledger
   publishes a float for display, so the comparison allows one part in
-  10^9 of relative slack, far below any word-sized discrepancy;
+  10^9 of relative slack, far below any word-sized discrepancy.  The
+  float's exact ratio (:meth:`float.as_integer_ratio`) is
+  cross-multiplied with the replayed ledger's, so the comparison is
+  integer arithmetic too; a non-finite ``remaining`` (which has no
+  ratio) is drift;
 * disagreement between the charge stream and the heap-event stream:
   every move charge must be followed by its ``Move`` of the same size,
   every alloc charge by its ``Alloc`` (``charge-mismatch``), and the
@@ -24,17 +28,20 @@ nothing) — and flags:
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from ..mm.budget import divisor_as_integer_ratio
-from ..obs.events import Alloc, BudgetCharge, Move, TelemetryEvent
-from .base import CheckContext, Checker
+from ..obs.tape import ALLOC, CHARGE, MOVE
+from .base import CheckContext, Checker, walk
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..obs.tape import EventTape
 
 __all__ = ["BudgetReplayChecker"]
 
-#: Relative slack for comparing the ledger's float ``remaining`` against
-#: the exact replay — display rounding only, never a whole word.
-_REMAINING_RTOL = Fraction(1, 10**9)
+#: ``remaining`` may differ from the exact replay by one part in this
+#: many — display rounding only, never a whole word.
+_REMAINING_SLACK = 10**9
 
 
 class BudgetReplayChecker(Checker):
@@ -55,12 +62,17 @@ class BudgetReplayChecker(Checker):
         # Replayed ledger (exact integers throughout).
         self._allocated = 0
         self._moved = 0
-        # Heap-event-side totals, cross-checked at finalize.
+        # Heap-event-side totals, cross-checked at the end of the stream.
         self._alloc_words = 0
         self._move_words = 0
         # Charges not yet matched by their heap event (FIFO per reason).
         self._pending_alloc: deque[tuple[int, int]] = deque()
         self._pending_move: deque[tuple[int, int]] = deque()
+
+    def check(self, tape: "EventTape") -> None:
+        walk(tape, {CHARGE: self._on_charge, ALLOC: self._on_alloc,
+                    MOVE: self._on_move})
+        self._end_of_stream()
 
     # Exact inequality -------------------------------------------------------
 
@@ -74,41 +86,41 @@ class BudgetReplayChecker(Checker):
         # model is simply unknown and the inequality cannot be judged.
         return self._moved == 0 if self.context.budget_known else True
 
-    def _exact_remaining(self) -> Fraction:
+    def _exact_remaining(self) -> tuple[int, int]:
+        """The replayed remaining budget as an exact ``(num, den)`` pair."""
         if self.context.divisor is not None:
-            return (
-                Fraction(self._allocated * self._den, self._num) - self._moved
-            )
+            return self._allocated * self._den - self._moved * self._num, self._num
         if self.context.absolute_limit is not None:
-            return Fraction(self.context.absolute_limit - self._moved)
-        return Fraction(0)
+            return self.context.absolute_limit - self._moved, 1
+        return 0, 1
 
-    # Event handlers ---------------------------------------------------------
+    # Row handlers -----------------------------------------------------------
 
-    def feed(self, event: TelemetryEvent) -> None:
-        if isinstance(event, BudgetCharge):
-            self._on_charge(event)
-        elif isinstance(event, Alloc):
-            self._match(event.seq, "alloc", self._pending_alloc, event.size)
-            self._alloc_words += event.size
-        elif isinstance(event, Move):
-            self._match(event.seq, "move", self._pending_move, event.size)
-            self._move_words += event.size
+    def _on_alloc(self, seq: int, object_id: int, size: int, address: int,
+                  latency_ns: int) -> None:
+        self._match(seq, "alloc", self._pending_alloc, size)
+        self._alloc_words += size
 
-    def _on_charge(self, event: BudgetCharge) -> None:
-        if event.words <= 0:
+    def _on_move(self, seq: int, object_id: int, size: int, old_address: int,
+                 new_address: int) -> None:
+        self._match(seq, "move", self._pending_move, size)
+        self._move_words += size
+
+    def _on_charge(self, seq: int, reason: str, words: int,
+                   remaining: float) -> None:
+        if words <= 0:
             self.report(
                 "bad-charge",
-                f"budget charge of {event.words} words (must be positive)",
-                seq=event.seq,
+                f"budget charge of {words} words (must be positive)",
+                seq=seq,
             )
             return
-        if event.reason == "alloc":
-            self._allocated += event.words
-            self._pending_alloc.append((event.seq, event.words))
-        elif event.reason == "move":
-            self._moved += event.words
-            self._pending_move.append((event.seq, event.words))
+        if reason == "alloc":
+            self._allocated += words
+            self._pending_alloc.append((seq, words))
+        elif reason == "move":
+            self._moved += words
+            self._pending_move.append((seq, words))
             if not self._within_budget():
                 self.report(
                     "overspent",
@@ -116,31 +128,43 @@ class BudgetReplayChecker(Checker):
                     f"moved={self._moved}, allocated={self._allocated}, "
                     f"c={self.context.divisor}, "
                     f"B={self.context.absolute_limit}",
-                    seq=event.seq,
+                    seq=seq,
                 )
         else:
             self.report(
                 "bad-charge",
-                f"unknown budget-charge reason {event.reason!r}",
-                seq=event.seq,
+                f"unknown budget-charge reason {reason!r}",
+                seq=seq,
             )
             return
         if self.context.budget_known:
-            self._check_remaining(event)
+            self._check_remaining(seq, reason, words, remaining)
 
-    def _check_remaining(self, event: BudgetCharge) -> None:
-        """The live ledger's float ``remaining`` must track the exact one."""
-        exact = self._exact_remaining()
-        reported = Fraction(event.remaining)
-        tolerance = _REMAINING_RTOL * max(abs(exact), Fraction(1))
-        if abs(reported - exact) > tolerance:
+    def _check_remaining(self, seq: int, reason: str, words: int,
+                         remaining: float) -> None:
+        """The live ledger's float ``remaining`` must track the exact one.
+
+        With the exact value ``e = e_num / e_den`` and the reported one
+        ``r = r_num / r_den``, ``|r - e| > max(|e|, 1) / 10**9`` is
+        ``10**9 * |r_num * e_den - e_num * r_den| > r_den * max(|e_num|,
+        e_den)`` once both sides are multiplied by ``10**9 * r_den * e_den``.
+        """
+        e_num, e_den = self._exact_remaining()
+        try:
+            r_num, r_den = remaining.as_integer_ratio()
+        except (OverflowError, ValueError):  # infinite or NaN: no ratio
+            drift = True
+        else:
+            drift = (_REMAINING_SLACK * abs(r_num * e_den - e_num * r_den)
+                     > r_den * max(abs(e_num), e_den))
+        if drift:
             self.report(
                 "ledger-drift",
-                f"live ledger reports remaining={event.remaining!r} after the "
-                f"{event.reason} charge of {event.words}, but exact replay "
-                f"gives {float(exact)!r} "  # lint: float-ok
+                f"live ledger reports remaining={remaining!r} after the "
+                f"{reason} charge of {words}, but exact replay "
+                f"gives {e_num / e_den!r} "  # lint: float-ok
                 f"(allocated={self._allocated}, moved={self._moved})",
-                seq=event.seq,
+                seq=seq,
             )
 
     def _match(self, seq: int, reason: str,
@@ -162,7 +186,7 @@ class BudgetReplayChecker(Checker):
                 seq=seq,
             )
 
-    def finalize(self) -> None:
+    def _end_of_stream(self) -> None:
         if self._allocated != self._alloc_words:
             self.report(
                 "total-mismatch",

@@ -34,20 +34,21 @@ the live :class:`~repro.adversary.association.AssociationMap`):
 * *association consistency*: the map's structural invariants hold at
   every hook (``association-inconsistent``).
 
-A run checked offline only (replaying a JSONL trace) gets the offline
-rules; ``--sanitize`` runs get both.
+A run checked offline only (``repro check`` on a recorded run) gets
+the offline rules; ``--sanitize`` runs get both.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..obs.events import Alloc, StageTransition, TelemetryEvent
-from .base import CheckContext, Checker
+from ..obs.tape import ALLOC, STAGE
+from .base import CheckContext, Checker, walk
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..adversary.pf_program import PFProgram
     from ..heap.object_model import HeapObject
+    from ..obs.tape import EventTape
 
 __all__ = ["DensityChecker", "DensityObserver"]
 
@@ -71,25 +72,25 @@ class DensityChecker(Checker):
         self._step_allocs = 0
         self._step_budget: int | None = None
 
-    def feed(self, event: TelemetryEvent) -> None:
-        if self.context.program != _PF:
-            return
-        if isinstance(event, StageTransition) and event.program == _PF:
-            self._on_stage(event)
-        elif isinstance(event, Alloc) and self._stage2_step is not None:
-            self._on_stage2_alloc(event)
+    def check(self, tape: "EventTape") -> None:
+        if self.context.program == _PF:
+            walk(tape, {STAGE: self._on_stage, ALLOC: self._on_alloc})
+        self._close_step()
 
     # Stage bookkeeping ------------------------------------------------------
 
-    def _on_stage(self, event: StageTransition) -> None:
+    def _on_stage(self, seq: int, program: str, stage: str, step: int,
+                  label: str) -> None:
+        if program != _PF:
+            return
         self._close_step()
-        if event.stage == "I":
-            self._stage1_max_step = max(self._stage1_max_step, event.step)
-        elif event.stage == "II":
+        if stage == "I":
+            self._stage1_max_step = max(self._stage1_max_step, step)
+        elif stage == "II":
             if self._stage2_step is None:
-                self._check_exponent(event.seq)
-            self._stage2_step = event.step
-            self._step_budget = self._allocation_budget(event.step)
+                self._check_exponent(seq)
+            self._stage2_step = step
+            self._step_budget = self._allocation_budget(step)
 
     def _check_exponent(self, seq: int) -> None:
         params = self._params()
@@ -141,17 +142,19 @@ class DensityChecker(Checker):
 
     # Stage II allocations ---------------------------------------------------
 
-    def _on_stage2_alloc(self, event: Alloc) -> None:
+    def _on_alloc(self, seq: int, object_id: int, size: int, address: int,
+                  latency_ns: int) -> None:
         step = self._stage2_step
-        assert step is not None
+        if step is None:
+            return
         expected = 1 << (step + 2)
-        if event.size != expected:
+        if size != expected:
             self.report(
                 "stage2-size",
-                f"Stage II step {step} allocated object {event.object_id} of "
-                f"{event.size} words; Algorithm 1 allocates exactly "
+                f"Stage II step {step} allocated object {object_id} of "
+                f"{size} words; Algorithm 1 allocates exactly "
                 f"2^(i+2) = {expected}",
-                seq=event.seq,
+                seq=seq,
             )
             return
         self._step_allocs += 1
@@ -160,27 +163,24 @@ class DensityChecker(Checker):
                 "allocation-count",
                 f"Stage II step {step} allocated {self._step_allocs} objects, "
                 f"over the ration of {self._step_budget}",
-                seq=event.seq,
+                seq=seq,
             )
         chunk = 1 << step
-        first_covered = -(-event.address // chunk)  # ceil
-        last_covered = (event.address + event.size) // chunk
+        first_covered = -(-address // chunk)  # ceil
+        last_covered = (address + size) // chunk
         if last_covered - first_covered < 3:
             self.report(
                 "chunk-coverage",
-                f"Stage II object {event.object_id} at address "
-                f"{event.address} fully covers only "
+                f"Stage II object {object_id} at address "
+                f"{address} fully covers only "
                 f"{max(0, last_covered - first_covered)} chunks of {chunk} "
                 "words (needs >= 3)",
-                seq=event.seq,
+                seq=seq,
             )
 
     def _close_step(self) -> None:
         self._step_allocs = 0
         self._step_budget = None
-
-    def finalize(self) -> None:
-        self._close_step()
 
 
 class DensityObserver:

@@ -6,14 +6,16 @@ seeded RNG — so re-running the same (program, manager, params, seed)
 must reproduce the event stream *bit for bit*.  The check works over a
 canonical digest:
 
-* :func:`event_stream_digest` hashes (SHA-256) the canonical JSON of
-  every event, **excluding** ``latency_ns`` and any negative ``seq``
-  placeholder — wall-clock latency is the one legitimately
-  non-deterministic field;
-* :func:`run_recorded` stores the digest in the manifest as
-  ``event_digest``;
-* :class:`DeterminismChecker` recomputes the digest from the events it
-  is fed and flags a mismatch against the manifest's recorded one
+* :func:`canonical_event_bytes` defines the canonical form of one
+  event: its JSON with sorted keys and compact separators, **without**
+  ``latency_ns`` — wall-clock latency is the one legitimately
+  non-deterministic field; :func:`event_stream_digest` hashes (SHA-256)
+  a stream of them;
+* :meth:`repro.obs.tape.EventTape.digest` computes the same digest from
+  a tape's columns, and :func:`~repro.obs.telemetry.run_recorded`
+  stores it in the manifest as ``event_digest``;
+* :class:`DeterminismChecker` recomputes the digest from the tape it
+  checks and flags a mismatch against the manifest's recorded one
   (``digest-mismatch``) — which catches both a corrupted trace and a
   non-deterministic producer;
 * :func:`replay_digest` actually re-runs the recorded configuration and
@@ -23,11 +25,7 @@ canonical digest:
 
 from __future__ import annotations
 
-import hashlib
 import json
-import math
-import re
-from dataclasses import fields as _dataclass_fields
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..obs.events import TelemetryEvent
@@ -36,6 +34,7 @@ from .base import CheckContext, Checker
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..adversary.base import AdversaryProgram
     from ..core.params import BoundParams
+    from ..obs.tape import EventTape
 
 __all__ = [
     "canonical_event_bytes",
@@ -47,30 +46,15 @@ __all__ = [
 #: Fields excluded from the canonical form (timing noise).
 _NONDETERMINISTIC_FIELDS = frozenset({"latency_ns"})
 
-#: Per-event-class canonical key order: ``kind`` plus every dataclass
-#: field except the nondeterministic ones, sorted — exactly the order
-#: ``json.dumps(..., sort_keys=True)`` produces for the same record.
-_FIELD_ORDER_CACHE: dict[type, tuple[str, ...]] = {}
 
-#: Strings this encoder may emit verbatim between quotes: printable
-#: ASCII minus ``"`` and ``\`` (anything else falls back to json.dumps,
-#: which owns the escaping rules the canonical form is defined by).
-_SAFE_STR = re.compile(r'^[ !#-\[\]-~]*$')
+def canonical_event_bytes(event: TelemetryEvent) -> bytes:
+    """One event's canonical JSON line (stable field order, no timing).
 
-
-def _field_order(cls: type) -> tuple[str, ...]:
-    order = tuple(sorted(
-        ["kind"] + [field.name for field in _dataclass_fields(cls)
-                    if field.name not in _NONDETERMINISTIC_FIELDS]
-    ))
-    # Idempotent memo: the value is a pure function of ``cls``, so a
-    # worker recomputing it writes the identical tuple the parent would.
-    _FIELD_ORDER_CACHE[cls] = order
-    return order
-
-
-def _canonical_event_bytes_slow(event: TelemetryEvent) -> bytes:
-    """The defining encoding: filtered to_dict through json.dumps."""
+    This is the defining encoding of the digest: the event's
+    :meth:`~repro.obs.events.TelemetryEvent.to_dict` without
+    ``latency_ns``, through ``json.dumps`` with sorted keys and compact
+    separators.
+    """
     record = {
         key: value
         for key, value in event.to_dict().items()
@@ -80,46 +64,12 @@ def _canonical_event_bytes_slow(event: TelemetryEvent) -> bytes:
                       separators=(",", ":")).encode() + b"\n"
 
 
-def canonical_event_bytes(event: TelemetryEvent) -> bytes:
-    """One event's canonical JSON line (stable field order, no timing).
-
-    The output is *defined* by :func:`_canonical_event_bytes_slow`
-    (``json.dumps`` with sorted keys and compact separators); this fast
-    path hand-assembles the identical bytes for the value shapes all
-    built-in events use — ints, finite floats (``json`` renders them
-    via ``float.__repr__``, so ``repr`` matches byte for byte), bools
-    and escape-free ASCII strings — and defers anything else to the
-    json encoder.  ``tests/check`` pins the two paths byte-equal over
-    the full event corpus.
-    """
-    cls = type(event)
-    order = _FIELD_ORDER_CACHE.get(cls)
-    if order is None:
-        order = _field_order(cls)
-    parts = []
-    for name in order:
-        value = getattr(event, name)
-        if value is True:
-            parts.append(f'"{name}":true')
-        elif value is False:
-            parts.append(f'"{name}":false')
-        elif type(value) is int:
-            parts.append(f'"{name}":{value}')
-        elif type(value) is str:
-            if _SAFE_STR.match(value) is None:
-                return _canonical_event_bytes_slow(event)
-            parts.append(f'"{name}":"{value}"')
-        elif type(value) is float:
-            if not math.isfinite(value):
-                return _canonical_event_bytes_slow(event)
-            parts.append(f'"{name}":{value!r}')
-        else:
-            return _canonical_event_bytes_slow(event)
-    return ("{" + ",".join(parts) + "}\n").encode()
-
-
 def event_stream_digest(events: Iterable[TelemetryEvent]) -> str:
     """SHA-256 hex digest of a whole event stream's canonical form."""
+    # Imported here: loading OpenSSL adds megabytes of resident memory
+    # to every process that imports repro.check, hashing or not.
+    import hashlib
+
     digest = hashlib.sha256()
     for event in events:
         digest.update(canonical_event_bytes(event))
@@ -127,7 +77,17 @@ def event_stream_digest(events: Iterable[TelemetryEvent]) -> str:
 
 
 class DeterminismChecker(Checker):
-    """Recompute the stream digest; compare against the recorded one."""
+    """Recompute the stream digest; compare against the recorded one.
+
+    The digest is :meth:`repro.obs.tape.EventTape.digest`, which
+    formats the columns with per-kind templates instead of calling
+    :func:`canonical_event_bytes` per event.  What stands behind the
+    two being equal is the hypothesis differential in
+    ``tests/obs/test_tape.py``: over random streams of all six kinds
+    (non-ASCII strings, NaN and infinite ``remaining``, int64 extremes)
+    the tape's digest equals :func:`event_stream_digest` of the same
+    events.
+    """
 
     name = "determinism"
     invariant = (
@@ -137,15 +97,11 @@ class DeterminismChecker(Checker):
 
     def __init__(self, context: CheckContext) -> None:
         super().__init__(context)
-        self._hasher = hashlib.sha256()
-        #: The computed hex digest (set at :meth:`finalize`).
+        #: The computed hex digest (set by :meth:`check`).
         self.digest: str | None = None
 
-    def feed(self, event: TelemetryEvent) -> None:
-        self._hasher.update(canonical_event_bytes(event))
-
-    def finalize(self) -> None:
-        self.digest = self._hasher.hexdigest()
+    def check(self, tape: "EventTape") -> None:
+        self.digest = tape.digest()
         expected = self.context.expected_digest
         if expected is not None and self.digest != expected:
             self.report(

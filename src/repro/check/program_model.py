@@ -19,8 +19,13 @@ Rules: ``oversize``, ``non-power-of-two``, ``live-overflow``,
 
 from __future__ import annotations
 
-from ..obs.events import Alloc, Free, StageTransition, TelemetryEvent
-from .base import CheckContext, Checker
+from typing import TYPE_CHECKING
+
+from ..obs.tape import ALLOC, FREE, STAGE
+from .base import CheckContext, Checker, walk
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..obs.tape import EventTape
 
 __all__ = ["ProgramModelChecker"]
 
@@ -55,83 +60,84 @@ class ProgramModelChecker(Checker):
         self._stage2_seen = False
         self._stage2_last_step = -1
 
-    # Event handlers ---------------------------------------------------------
+    def check(self, tape: "EventTape") -> None:
+        walk(tape, {ALLOC: self._on_alloc, FREE: self._on_free,
+                    STAGE: self._on_stage})
+        self._end_of_stream()
 
-    def feed(self, event: TelemetryEvent) -> None:
-        if isinstance(event, Alloc):
-            self._on_alloc(event)
-        elif isinstance(event, Free):
-            self._on_free(event)
-        elif isinstance(event, StageTransition):
-            self._on_stage(event)
+    # Row handlers -----------------------------------------------------------
 
-    def _on_alloc(self, event: Alloc) -> None:
+    def _on_alloc(self, seq: int, object_id: int, size: int, address: int,
+                  latency_ns: int) -> None:
         n = self.context.max_object
-        if n is not None and event.size > n:
+        if n is not None and size > n:
             self.report(
                 "oversize",
-                f"object {event.object_id} of {event.size} words exceeds "
-                f"n={n}",
-                seq=event.seq,
+                f"object {object_id} of {size} words exceeds n={n}",
+                seq=seq,
             )
-        if self.context.power_of_two_sizes and not _is_power_of_two(event.size):
+        if self.context.power_of_two_sizes and not _is_power_of_two(size):
             self.report(
                 "non-power-of-two",
-                f"object {event.object_id} of {event.size} words: "
+                f"object {object_id} of {size} words: "
                 f"{self.context.program} allocates power-of-two sizes only",
-                seq=event.seq,
+                seq=seq,
             )
-        self._live_words += max(event.size, 0)
-        self._sizes[event.object_id] = event.size
+        self._live_words += max(size, 0)
+        self._sizes[object_id] = size
         m = self.context.live_space
         if m is not None and self._live_words > m:
             self.report(
                 "live-overflow",
                 f"live space reaches {self._live_words} words > M={m} after "
-                f"allocating object {event.object_id}",
-                seq=event.seq,
+                f"allocating object {object_id}",
+                seq=seq,
             )
 
-    def _on_free(self, event: Free) -> None:
+    def _on_free(self, seq: int, object_id: int, size: int,
+                 address: int) -> None:
         # Use the recorded size so a corrupted Free cannot hide an
         # overflow by under-reporting (the shadow-heap checker flags the
         # metadata mismatch itself).
-        size = self._sizes.pop(event.object_id, event.size)
-        self._live_words -= max(size, 0)
+        recorded = self._sizes.pop(object_id, size)
+        self._live_words -= max(recorded, 0)
 
     # Stage machine ----------------------------------------------------------
 
-    def _on_stage(self, event: StageTransition) -> None:
-        if event.program == _PF:
-            self._on_pf_stage(event)
-        elif event.program == _ROBSON:
-            self._on_robson_stage(event)
+    def _on_stage(self, seq: int, program: str, stage: str, step: int,
+                  label: str) -> None:
+        if program == _PF:
+            self._on_pf_stage(seq, program, stage, step, label)
+        elif program == _ROBSON:
+            self._on_robson_stage(seq, program, stage, step)
         # Other programs carry no stage contract.
 
-    def _expect_consecutive(self, event: StageTransition, expected: int) -> None:
-        if event.step == expected:
+    def _expect_consecutive(self, seq: int, program: str, stage: str,
+                            step: int, expected: int) -> None:
+        if step == expected:
             return
-        rule = "stage-regression" if event.step < expected else "stage-skip"
+        rule = "stage-regression" if step < expected else "stage-skip"
         self.report(
             rule,
-            f"{event.program} stage {event.stage} reached step {event.step} "
+            f"{program} stage {stage} reached step {step} "
             f"but step {expected} was expected next",
-            seq=event.seq,
+            seq=seq,
         )
 
-    def _on_pf_stage(self, event: StageTransition) -> None:
-        if event.stage == "I":
+    def _on_pf_stage(self, seq: int, program: str, stage: str, step: int,
+                     label: str) -> None:
+        if stage == "I":
             if self._stage2_seen:
                 self.report(
                     "stage-order",
                     "Stage I transition after Stage II began",
-                    seq=event.seq,
+                    seq=seq,
                 )
                 return
             expected = 0 if self._last_stage is None else self._last_step + 1
-            self._expect_consecutive(event, expected)
-            self._stage1_max_step = max(self._stage1_max_step, event.step)
-        elif event.stage == "II":
+            self._expect_consecutive(seq, program, stage, step, expected)
+            self._stage1_max_step = max(self._stage1_max_step, step)
+        elif stage == "II":
             if not self._stage2_seen:
                 # Algorithm 1: Stage II starts at step 2*ell, where ell
                 # is Stage I's final step; null steps ell+1 .. 2*ell-1
@@ -140,44 +146,47 @@ class ProgramModelChecker(Checker):
                     self.report(
                         "stage-order",
                         "Stage II began with no Stage I at all",
-                        seq=event.seq,
+                        seq=seq,
                     )
                 else:
-                    self._expect_consecutive(event, 2 * self._stage1_max_step)
-                if event.label != "stage I -> stage II":
+                    self._expect_consecutive(seq, program, stage, step,
+                                             2 * self._stage1_max_step)
+                if label != "stage I -> stage II":
                     self.report(
                         "stage-order",
                         "the first Stage II transition must carry the "
-                        f"'stage I -> stage II' label, got {event.label!r}",
-                        seq=event.seq,
+                        f"'stage I -> stage II' label, got {label!r}",
+                        seq=seq,
                     )
             else:
-                self._expect_consecutive(event, self._last_step + 1)
+                self._expect_consecutive(seq, program, stage, step,
+                                         self._last_step + 1)
             self._stage2_seen = True
-            self._stage2_last_step = event.step
+            self._stage2_last_step = step
         else:
             self.report(
                 "stage-order",
-                f"unknown P_F stage {event.stage!r}",
-                seq=event.seq,
+                f"unknown P_F stage {stage!r}",
+                seq=seq,
             )
-        self._last_stage = event.stage
-        self._last_step = event.step
+        self._last_stage = stage
+        self._last_step = step
 
-    def _on_robson_stage(self, event: StageTransition) -> None:
-        if event.stage != "robson":
+    def _on_robson_stage(self, seq: int, program: str, stage: str,
+                         step: int) -> None:
+        if stage != "robson":
             self.report(
                 "stage-order",
-                f"unknown P_R stage {event.stage!r}",
-                seq=event.seq,
+                f"unknown P_R stage {stage!r}",
+                seq=seq,
             )
             return
         expected = 0 if self._last_stage is None else self._last_step + 1
-        self._expect_consecutive(event, expected)
-        self._last_stage = event.stage
-        self._last_step = event.step
+        self._expect_consecutive(seq, program, stage, step, expected)
+        self._last_stage = stage
+        self._last_step = step
 
-    def finalize(self) -> None:
+    def _end_of_stream(self) -> None:
         n = self.context.max_object
         if (
             self.context.program == _PF

@@ -1,30 +1,33 @@
-"""Run the checkers: offline over recorded runs, online as a bus sink.
+"""Run the checkers: offline over recorded runs, online at run end.
 
-Offline — the static-analysis path (``repro check``):
+Every path hands the checkers an :class:`~repro.obs.tape.EventTape`
+and each checker makes one pass over its columns
+(:meth:`~repro.check.base.Checker.check`):
 
-* :func:`check_run_directory` loads a recorded ``manifest.json`` /
-  ``events.jsonl`` pair, builds the :class:`~repro.check.base.CheckContext`
-  from the manifest, and replays every event through the full checker
-  set;
-* :func:`check_trace_file` does the same for a bare JSONL file with no
-  manifest — parameter-dependent checks are skipped, structural ones
-  (shadow heap, charge pairing, stage machine) still run.
-
-Online — the ``--sanitize`` path: a :class:`Sanitizer` subscribes to the
-live :class:`~repro.obs.events.EventBus`, feeds every event to the same
-checkers as it is emitted, additionally rides the
-:class:`~repro.adversary.pf_program.PFProgram` observer hooks (the
-association map is only reachable online), and raises
-:class:`~repro.check.base.InvariantViolationError` at :meth:`Sanitizer.finish`
-if anything was flagged.
+* :func:`check_run_directory` — the static-analysis path (``repro
+  check``): loads a recorded run directory (``manifest.json`` plus
+  ``events.tape``, or a legacy ``events.jsonl``), builds the
+  :class:`~repro.check.base.CheckContext` from the manifest and checks
+  the stored tape;
+* :func:`check_trace_file` does the same for a bare event file (either
+  form) with no manifest — parameter-dependent checks are skipped,
+  structural ones (shadow heap, charge pairing, stage machine) still
+  run;
+* a :class:`Sanitizer` — the ``--sanitize`` path — is attached to the
+  live :class:`~repro.obs.events.EventBus` and checks its tape at
+  :meth:`Sanitizer.finish`; it does not subscribe, so the run builds no
+  event objects for it.  It also rides the
+  :class:`~repro.adversary.pf_program.PFProgram` observer hooks (the
+  association map is only reachable online) and raises
+  :class:`~repro.check.base.InvariantViolationError` at
+  :meth:`Sanitizer.finish` if anything was flagged.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence, Type, Union
+from typing import TYPE_CHECKING, Sequence, Type, Union
 
-from ..obs.events import TelemetryEvent
 from .base import CheckContext, Checker, CheckReport, InvariantViolationError
 from .budget_replay import BudgetReplayChecker
 from .density import DensityChecker, DensityObserver
@@ -35,6 +38,7 @@ from .shadow_heap import ShadowHeapChecker
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..adversary.base import AdversaryProgram
     from ..obs.events import EventBus
+    from ..obs.tape import EventTape
 
 __all__ = [
     "DEFAULT_CHECKERS",
@@ -46,7 +50,7 @@ __all__ = [
 
 _PathLike = Union[str, Path]
 
-#: The full checker set, in feed order.
+#: The full checker set, in report order.
 DEFAULT_CHECKERS: tuple[Type[Checker], ...] = (
     ShadowHeapChecker,
     BudgetReplayChecker,
@@ -56,25 +60,25 @@ DEFAULT_CHECKERS: tuple[Type[Checker], ...] = (
 )
 
 
-def run_checkers(
-    events: Iterable[TelemetryEvent],
-    context: CheckContext,
-    checker_types: Sequence[Type[Checker]] = DEFAULT_CHECKERS,
-) -> CheckReport:
-    """Replay ``events`` through fresh checkers; return the joint report."""
-    checkers = [checker_type(context) for checker_type in checker_types]
-    count = 0
-    for event in events:
-        count += 1
-        for checker in checkers:
-            checker.feed(event)
+def _check(checkers: Sequence[Checker], tape: "EventTape") -> CheckReport:
+    """Run each checker's pass over ``tape``; return the joint report."""
     for checker in checkers:
-        checker.finalize()
-    report = CheckReport(checkers=checkers, event_count=count)
+        checker.check(tape)
+    report = CheckReport(checkers=list(checkers), event_count=len(tape))
     for checker in checkers:
         if isinstance(checker, DeterminismChecker) and checker.digest:
             report.notes["event_digest"] = checker.digest
     return report
+
+
+def run_checkers(
+    tape: "EventTape",
+    context: CheckContext,
+    checker_types: Sequence[Type[Checker]] = DEFAULT_CHECKERS,
+) -> CheckReport:
+    """Check ``tape`` with fresh checkers; return the joint report."""
+    return _check([checker_type(context) for checker_type in checker_types],
+                  tape)
 
 
 def check_run_directory(
@@ -86,29 +90,29 @@ def check_run_directory(
 
     run = load_run(directory)
     context = CheckContext.from_manifest(run.manifest)
-    return run_checkers(run.events, context, checker_types)
+    return run_checkers(run.tape, context, checker_types)
 
 
 def check_trace_file(
     path: _PathLike,
     checker_types: Sequence[Type[Checker]] = DEFAULT_CHECKERS,
 ) -> CheckReport:
-    """Offline-check a bare ``events.jsonl`` (no manifest, fewer checks)."""
-    from ..obs.export import read_events
+    """Offline-check a bare event file (no manifest, fewer checks)."""
+    from ..obs.export import read_tape
 
-    return run_checkers(read_events(path), CheckContext(), checker_types)
+    return run_checkers(read_tape(path), CheckContext(), checker_types)
 
 
 class Sanitizer:
-    """Online checker harness: an event sink plus program-hook rider.
+    """Online checker harness: checks a bus's tape, rides program hooks.
 
     Usage::
 
         sanitizer = Sanitizer(CheckContext.from_params(params, ...))
-        sanitizer.attach(bus)            # subscribe to the live stream
+        sanitizer.attach(bus)              # the bus whose tape to check
         sanitizer.attach_program(program)  # PF-only association checks
         ... run ...
-        report = sanitizer.finish()      # raises on any violation
+        report = sanitizer.finish()        # raises on any violation
     """
 
     def __init__(
@@ -118,18 +122,12 @@ class Sanitizer:
     ) -> None:
         self.context = context
         self.checkers = [checker_type(context) for checker_type in checker_types]
-        self._event_count = 0
-        self._finished = False
-
-    def __call__(self, event: TelemetryEvent) -> None:
-        """Feed one event to every checker (the bus-subscriber interface)."""
-        self._event_count += 1
-        for checker in self.checkers:
-            checker.feed(event)
+        self._bus: "EventBus | None" = None
+        self._report: CheckReport | None = None
 
     def attach(self, bus: "EventBus") -> "Sanitizer":
-        """Subscribe to a bus; returns self."""
-        bus.subscribe(self)
+        """Check ``bus.tape`` at :meth:`finish`; returns self."""
+        self._bus = bus
         return self
 
     def attach_program(self, program: "AdversaryProgram") -> "Sanitizer":
@@ -155,16 +153,12 @@ class Sanitizer:
         return self
 
     def finish(self, *, raise_on_violation: bool = True) -> CheckReport:
-        """Finalize every checker; raise if anything was flagged."""
-        if not self._finished:
-            for checker in self.checkers:
-                checker.finalize()
-            self._finished = True
-        report = CheckReport(checkers=self.checkers,
-                             event_count=self._event_count)
-        for checker in self.checkers:
-            if isinstance(checker, DeterminismChecker) and checker.digest:
-                report.notes["event_digest"] = checker.digest
-        if raise_on_violation and not report.ok:
-            raise InvariantViolationError(report)
-        return report
+        """Check the attached bus's tape (once); raise if anything was flagged."""
+        if self._report is None:
+            from ..obs.tape import EventTape
+
+            tape = self._bus.tape if self._bus is not None else EventTape()
+            self._report = _check(self.checkers, tape)
+        if raise_on_violation and not self._report.ok:
+            raise InvariantViolationError(self._report)
+        return self._report

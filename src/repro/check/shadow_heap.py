@@ -26,10 +26,14 @@ and the driver aggregates exactly the moves of that window into one
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..heap.intervals import IntervalSet
-from ..obs.events import Alloc, CompactionWindow, Free, Move, TelemetryEvent
-from .base import CheckContext, Checker
+from ..obs.tape import ALLOC, FREE, MOVE, WINDOW
+from .base import CheckContext, Checker, walk
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..obs.tape import EventTape
 
 __all__ = ["ShadowHeapChecker"]
 
@@ -63,17 +67,12 @@ class ShadowHeapChecker(Checker):
         self._window_words = 0
         self._window_seen = False
 
-    # Event handlers ---------------------------------------------------------
+    def check(self, tape: "EventTape") -> None:
+        walk(tape, {ALLOC: self._on_alloc, FREE: self._on_free,
+                    MOVE: self._on_move, WINDOW: self._on_window})
+        self._end_of_stream()
 
-    def feed(self, event: TelemetryEvent) -> None:
-        if isinstance(event, Alloc):
-            self._on_alloc(event)
-        elif isinstance(event, Free):
-            self._on_free(event)
-        elif isinstance(event, Move):
-            self._on_move(event)
-        elif isinstance(event, CompactionWindow):
-            self._on_window(event)
+    # Row handlers -----------------------------------------------------------
 
     def _occupy(self, address: int, size: int, rule: str, seq: int,
                 object_id: int) -> None:
@@ -97,104 +96,106 @@ class ShadowHeapChecker(Checker):
             # placement already overlapped; that violation is on record.
             pass
 
-    def _on_alloc(self, event: Alloc) -> None:
-        self._close_window(event.seq)
-        if event.size <= 0:
+    def _on_alloc(self, seq: int, object_id: int, size: int, address: int,
+                  latency_ns: int) -> None:
+        self._close_window(seq)
+        if size <= 0:
             self.report(
                 "bad-size",
-                f"alloc of object {event.object_id} has size {event.size}",
-                seq=event.seq,
+                f"alloc of object {object_id} has size {size}",
+                seq=seq,
             )
             return
-        if event.object_id in self._live:
+        if object_id in self._live:
             self.report(
                 "duplicate-id",
-                f"object id {event.object_id} allocated while already live",
-                seq=event.seq,
+                f"object id {object_id} allocated while already live",
+                seq=seq,
             )
             return
-        if event.object_id in self._freed:
+        if object_id in self._freed:
             self.report(
                 "id-reuse",
-                f"object id {event.object_id} reused after being freed "
+                f"object id {object_id} reused after being freed "
                 "(the simulator never recycles ids)",
-                seq=event.seq,
+                seq=seq,
             )
-        self._occupy(event.address, event.size, "overlap", event.seq,
-                     event.object_id)
-        self._live[event.object_id] = _ShadowObject(event.address, event.size)
+        self._occupy(address, size, "overlap", seq, object_id)
+        self._live[object_id] = _ShadowObject(address, size)
 
-    def _on_free(self, event: Free) -> None:
-        obj = self._live.pop(event.object_id, None)
+    def _on_free(self, seq: int, object_id: int, size: int,
+                 address: int) -> None:
+        obj = self._live.pop(object_id, None)
         if obj is None:
-            if event.object_id in self._freed:
+            if object_id in self._freed:
                 self.report(
                     "double-free",
-                    f"object {event.object_id} freed twice",
-                    seq=event.seq,
+                    f"object {object_id} freed twice",
+                    seq=seq,
                 )
             else:
                 self.report(
                     "free-unknown",
-                    f"free of unknown object id {event.object_id}",
-                    seq=event.seq,
+                    f"free of unknown object id {object_id}",
+                    seq=seq,
                 )
             return
-        if obj.address != event.address or obj.size != event.size:
+        if obj.address != address or obj.size != size:
             self.report(
                 "metadata-mismatch",
-                f"free of object {event.object_id} reports "
-                f"(address={event.address}, size={event.size}) but the shadow "
+                f"free of object {object_id} reports "
+                f"(address={address}, size={size}) but the shadow "
                 f"heap has (address={obj.address}, size={obj.size})",
-                seq=event.seq,
+                seq=seq,
             )
         self._release(obj)
-        self._freed.add(event.object_id)
+        self._freed.add(object_id)
 
-    def _on_move(self, event: Move) -> None:
-        obj = self._live.get(event.object_id)
+    def _on_move(self, seq: int, object_id: int, size: int, old_address: int,
+                 new_address: int) -> None:
+        obj = self._live.get(object_id)
         if obj is None:
-            rule = ("use-after-free" if event.object_id in self._freed
+            rule = ("use-after-free" if object_id in self._freed
                     else "move-unknown")
             self.report(
                 rule,
                 f"move of {'freed' if rule == 'use-after-free' else 'unknown'} "
-                f"object id {event.object_id}",
-                seq=event.seq,
+                f"object id {object_id}",
+                seq=seq,
             )
             return
-        if obj.address != event.old_address or obj.size != event.size:
+        if obj.address != old_address or obj.size != size:
             self.report(
                 "metadata-mismatch",
-                f"move of object {event.object_id} reports "
-                f"(old_address={event.old_address}, size={event.size}) but the "
+                f"move of object {object_id} reports "
+                f"(old_address={old_address}, size={size}) but the "
                 f"shadow heap has (address={obj.address}, size={obj.size})",
-                seq=event.seq,
+                seq=seq,
             )
         self._release(obj)
-        self._occupy(event.new_address, obj.size, "move-overlap", event.seq,
-                     event.object_id)
-        obj.address = event.new_address
+        self._occupy(new_address, obj.size, "move-overlap", seq, object_id)
+        obj.address = new_address
         self._pending_moves += 1
         self._pending_words += obj.size
 
-    def _on_window(self, event: CompactionWindow) -> None:
+    def _on_window(self, seq: int, request_size: int, moves: int,
+                   moved_words: int) -> None:
         if self._window_seen:
             self.report(
                 "window-mismatch",
                 "two compaction windows inside one allocation request",
-                seq=event.seq,
+                seq=seq,
             )
-        if event.moves <= 0:
+        if moves <= 0:
             self.report(
                 "empty-window",
                 "compaction window reports zero moves (empty windows are "
                 "not emitted)",
-                seq=event.seq,
+                seq=seq,
             )
         self._window_seen = True
-        self._window_moves = event.moves
-        self._window_words = event.moved_words
+        self._window_moves = moves
+        self._window_words = moved_words
 
     def _close_window(self, seq: int) -> None:
         """An Alloc closes the request; reconcile moves vs. window."""
@@ -222,7 +223,7 @@ class ShadowHeapChecker(Checker):
         self._window_words = 0
         self._window_seen = False
 
-    def finalize(self) -> None:
+    def _end_of_stream(self) -> None:
         if self._window_seen:
             # The driver emits a window only immediately before the Alloc
             # that closes the same request; a trailing one is impossible.

@@ -187,11 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--heapmap", action="store_true",
                           help="render the final heap occupancy")
     simulate.add_argument("--telemetry", metavar="DIR", default=None,
-                          help="record the run (manifest.json + events.jsonl) "
+                          help="record the run (manifest.json + events.tape) "
                                "into DIR for `repro report`")
     simulate.add_argument("--sanitize", action="store_true",
-                          help="run the paper-invariant checkers online "
-                               "(exit 1 on any violation)")
+                          help="run the paper-invariant checkers over the "
+                               "run's events (exit 1 on any violation)")
     _add_kernel_flag(simulate)
     _add_trace_flag(simulate, "trace.json")
 
@@ -248,12 +248,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="static analysis of a recorded run (paper-invariant sanitizer)",
     )
     check.add_argument("path", help="run directory written by --telemetry, "
-                                    "or a bare events.jsonl trace")
+                                    "or a bare events.tape / events.jsonl")
     check.add_argument("--replay", action="store_true",
                        help="additionally re-run the recorded configuration "
                             "and compare event-stream digests")
     check.add_argument("--max-violations", type=int, default=20,
                        help="violations to print before eliding (default 20)")
+
+    export = commands.add_parser(
+        "export",
+        help="write a recorded run's events as events.jsonl",
+    )
+    export.add_argument("path", help="run directory written by --telemetry, "
+                                     "or a bare events.tape / events.jsonl")
+    export.add_argument("out", help="the JSONL file to write")
 
     trace = commands.add_parser(
         "trace",
@@ -422,11 +430,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         result = run_recorded(
             params, program, manager, args.telemetry,
             on_driver=drivers.append,
-            extra_sinks=None if sanitizer is None else [sanitizer],
             tracer=tracer,
             kernel=args.kernel,
         )
         heap = drivers[0].heap
+        if sanitizer is not None:
+            sanitizer.attach(drivers[0].observer)
     else:
         observer = None
         if sanitizer is not None or tracer is not None:
@@ -511,6 +520,33 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print("\nFAIL: paper invariants violated", file=sys.stderr)
         return 1
     print("\nOK: all invariants hold")
+    return 0
+
+
+def _cmd_export(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
+    from .obs.export import load_run, read_tape
+
+    path = Path(args.path)
+    try:
+        if path.is_dir():
+            tape = load_run(path).tape
+        elif path.is_file():
+            tape = read_tape(path)
+        else:
+            print(f"error: no such run directory or event file: {path}",
+                  file=sys.stderr)
+            return 2
+    except (FileNotFoundError, ValueError) as error:
+        print(f"error: cannot load {path}: {error}", file=sys.stderr)
+        return 2
+    try:
+        written = tape.write_jsonl(args.out)
+    except OSError as error:
+        print(f"error: cannot write {args.out}: {error}", file=sys.stderr)
+        return 2
+    print(f"wrote {written} ({len(tape)} events)")
     return 0
 
 
@@ -912,6 +948,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_figures(args)
         if args.command == "check":
             return _cmd_check(args)
+        if args.command == "export":
+            return _cmd_export(args)
         if args.command == "trace":
             return _cmd_trace(args)
         if args.command == "report":

@@ -6,10 +6,11 @@ happens during an execution (allocations, frees, moves, compaction
 windows, budget charges, adversary stage transitions); subscribers turn
 the stream into :mod:`metrics <repro.obs.metrics>` (counters, gauges,
 latency/size histograms), a :mod:`sampled time series
-<repro.obs.sampler>`, and a persisted :mod:`manifest/JSONL pair
-<repro.obs.export>` that ``repro report`` renders.  The bus records
-every event once, as a row of its :mod:`event tape <repro.obs.tape>`;
-the run's digest and ``events.jsonl`` are computed from the tape.
+<repro.obs.sampler>`, and a persisted :mod:`manifest/tape pair
+<repro.obs.export>` that ``repro report`` renders and ``repro check``
+audits.  The bus records every event once, as a row of its
+:mod:`event tape <repro.obs.tape>`; the run's digest, its stored
+``events.tape`` and the ``events.jsonl`` export all come from the tape.
 
 Instrumentation is strictly opt-in: every hook in the driver, the budget
 ledger and the adversary programs is an ``EventBus | None`` defaulting
@@ -28,7 +29,7 @@ Quickstart::
         params, PFProgram(params), create_manager("first-fit", params),
         "runs/demo",
     )
-    # runs/demo now holds manifest.json + events.jsonl;
+    # runs/demo now holds manifest.json + events.tape;
     # render with: python -m repro report runs/demo
 """
 
@@ -46,6 +47,7 @@ from .events import (
 )
 from .export import (
     EVENTS_FILENAME,
+    JSONL_FILENAME,
     MANIFEST_FILENAME,
     SCHEMA_VERSION,
     RunData,
@@ -54,6 +56,7 @@ from .export import (
     load_run,
     peak_rss_kb,
     read_events,
+    read_tape,
     write_events,
     write_manifest,
 )
@@ -96,6 +99,7 @@ __all__ = [
     "Gauge",
     "HeapSampler",
     "Histogram",
+    "JSONL_FILENAME",
     "LATENCY_BUCKETS_NS",
     "MANIFEST_FILENAME",
     "MetricsCollector",
@@ -121,6 +125,7 @@ __all__ = [
     "power_of_two_buckets",
     "profile_block",
     "read_events",
+    "read_tape",
     "read_trace",
     "render_run",
     "render_timeline",

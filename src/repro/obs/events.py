@@ -21,7 +21,8 @@ sites hold an ``EventBus | None`` and emit through the bus's per-kind
 methods (:meth:`EventBus.emit_alloc` and siblings) behind one ``if bus
 is not None``.  The bus records every event as one row of its
 :class:`~repro.obs.tape.EventTape`, typed columns from which the run's
-canonical digest and ``events.jsonl`` are computed once, at run end.
+canonical digest and stored ``events.tape`` are computed once, at run
+end.
 An event object is built only when someone subscribes: a bus without
 subscribers appends a row and nothing else, and an uninstrumented run
 pays one pointer comparison per operation.  ``tools/check_overhead.py``

@@ -1,20 +1,26 @@
-"""Run persistence: JSONL event export and per-run manifests.
+"""Run persistence: the stored event tape, its JSONL export, manifests.
 
-A recorded run is a directory with exactly two files:
+A recorded run is a directory with two files:
 
 * ``manifest.json`` — everything about the run *except* the raw events:
   parameters, configuration, wall time, peak RSS, end-of-run result
   numbers, the metrics registry and the sampled time series;
-* ``events.jsonl`` — one :meth:`~repro.obs.events.TelemetryEvent.to_dict`
-  record per line, in emission (``seq``) order.  Recorded runs write it
-  from the bus's tape (:meth:`repro.obs.tape.EventTape.write_jsonl`);
-  :func:`write_events` writes the same bytes from event objects.
+* ``events.tape`` (:data:`EVENTS_FILENAME`) — the bus's
+  :class:`~repro.obs.tape.EventTape`, stored by
+  :meth:`~repro.obs.tape.EventTape.write`: a JSON header line, then
+  the raw columns.
 
-The pair is the interchange format of the repository: ``repro report``
-renders it, :meth:`repro.adversary.trace.TraceLog.to_jsonl` shares the
-line encoding, and the benchmark JSON records point at it.  The schema
-is versioned (:data:`SCHEMA_VERSION`) so later readers can refuse or
-adapt old runs instead of misreading them.
+``events.jsonl`` — one :meth:`~repro.obs.events.TelemetryEvent.to_dict`
+record per line, in ``seq`` order — is an export (``repro export``,
+:meth:`~repro.obs.tape.EventTape.write_jsonl`); :func:`write_events`
+writes the same bytes from event objects.  Directories recorded before
+the tape was stored hold ``events.jsonl`` (:data:`JSONL_FILENAME`)
+instead: :func:`load_run` reads either into the same columns
+(:func:`read_tape` tells the forms apart by their first bytes), so
+``repro check``, ``repro report`` and the result cache serve old and
+new runs alike.  The manifest schema is versioned
+(:data:`SCHEMA_VERSION`) so later readers can refuse or adapt old runs
+instead of misreading them.
 """
 
 from __future__ import annotations
@@ -24,14 +30,17 @@ import time
 from pathlib import Path
 from typing import Union
 
-from .events import TelemetryEvent, event_from_dict
+from .events import TelemetryEvent
+from .tape import EventTape
 
 __all__ = [
     "SCHEMA_VERSION",
     "MANIFEST_FILENAME",
     "EVENTS_FILENAME",
+    "JSONL_FILENAME",
     "write_events",
     "read_events",
+    "read_tape",
     "build_manifest",
     "write_manifest",
     "load_manifest",
@@ -44,7 +53,11 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 MANIFEST_FILENAME = "manifest.json"
-EVENTS_FILENAME = "events.jsonl"
+#: The stored tape of a recorded run.
+EVENTS_FILENAME = "events.tape"
+#: The JSONL form: ``repro export``'s output, and the events of runs
+#: recorded before the tape was stored.
+JSONL_FILENAME = "events.jsonl"
 
 _PathLike = Union[str, Path]
 
@@ -77,15 +90,20 @@ def write_events(path: _PathLike, events: list[TelemetryEvent]) -> Path:
     return target
 
 
+def read_tape(path: _PathLike) -> EventTape:
+    """Read a stored tape or a JSONL event file, told apart by its start.
+
+    Raises ``ValueError`` naming the file (and line, for JSONL) when
+    the content is malformed.
+    """
+    if EventTape.is_stored(path):
+        return EventTape.read(path)
+    return EventTape.read_jsonl(path)
+
+
 def read_events(path: _PathLike) -> list[TelemetryEvent]:
-    """Parse a JSONL event file back into typed events."""
-    events: list[TelemetryEvent] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(event_from_dict(json.loads(line)))
-    return events
+    """Parse an event file (either form) back into typed events."""
+    return read_tape(path).events()
 
 
 def build_manifest(
@@ -161,18 +179,29 @@ def load_manifest(directory: _PathLike) -> dict:
 
 
 class RunData:
-    """A loaded manifest/JSONL pair."""
+    """A loaded run directory: its manifest and its event tape."""
 
     def __init__(self, directory: Path, manifest: dict,
-                 events: list[TelemetryEvent]) -> None:
+                 tape: EventTape) -> None:
         self.directory = directory
         self.manifest = manifest
-        self.events = events
+        self.tape = tape
+        self._events: list[TelemetryEvent] | None = None
 
     @property
     def live_space_bound(self) -> int:
         """The run's contract bound ``M``."""
         return int(self.manifest["params"]["live_space"])
+
+    @property
+    def events(self) -> list[TelemetryEvent]:
+        """Every event as an object, built once from the tape on first use.
+
+        For reports and tests; the checkers read :attr:`tape` directly.
+        """
+        if self._events is None:
+            self._events = self.tape.events()
+        return self._events
 
     def events_of_kind(self, kind: str) -> list[TelemetryEvent]:
         """Every event whose ``kind`` matches, in ``seq`` order."""
@@ -180,9 +209,14 @@ class RunData:
 
 
 def load_run(directory: _PathLike) -> RunData:
-    """Load a recorded run (manifest required, events optional-but-usual)."""
+    """Load a recorded run (manifest required, events optional-but-usual).
+
+    The events come from ``events.tape``, else from a legacy
+    ``events.jsonl``; a directory with neither loads with no events.
+    """
     base = Path(directory)
     manifest = load_manifest(base)
-    events_path = base / EVENTS_FILENAME
-    events = read_events(events_path) if events_path.is_file() else []
-    return RunData(base, manifest, events)
+    for name in (EVENTS_FILENAME, JSONL_FILENAME):
+        if (base / name).is_file():
+            return RunData(base, manifest, read_tape(base / name))
+    return RunData(base, manifest, EventTape())

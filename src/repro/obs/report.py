@@ -229,7 +229,7 @@ def render_run(run: RunData, *, width: int = 60, plot: bool = True) -> str:
 
     Degrades gracefully: manifests missing optional keys (older schema
     additions like ``profile``, or hand-trimmed manifests) and empty or
-    absent ``events.jsonl`` files render a reduced report rather than
+    absent event files render a reduced report rather than
     raising.
     """
     manifest = run.manifest
@@ -323,5 +323,5 @@ def render_run(run: RunData, *, width: int = 60, plot: bool = True) -> str:
         lines.append("stage progression: (no stage transitions recorded)")
     else:
         lines.append("")
-        lines.append("events.jsonl missing or empty: headline numbers only")
+        lines.append("events missing or empty: headline numbers only")
     return "\n".join(lines)

@@ -25,18 +25,39 @@ using the kind column.  The per-row work all runs inside C loops
 
 Columns are 64-bit: an integer field outside ``[-2**63, 2**63)`` raises
 ``OverflowError`` on append, and ``remaining`` is stored as a float.
+
+**Stored form.**  :meth:`EventTape.write` stores the tape as one file:
+a JSON header line (format, version, byte order, per-kind row counts,
+string table), then the raw kind column, each kind's row array and the
+``remaining`` column, written with ``array.tofile``.
+:meth:`EventTape.read` maps it back, and refuses (``ValueError``) a
+header it does not know, a short column, counts that disagree with the
+header, an unknown kind code, a string id outside the table and
+trailing bytes.  :meth:`EventTape.read_jsonl` reads a legacy
+``events.jsonl`` into the same columns, type-strictly: every line holds
+exactly its event's keys, integers are JSON integers, ``remaining`` a
+JSON float, strings strings, and ``seq`` the row index.
+
+**Reading rows.**  The checkers read the columns, not event objects:
+:meth:`EventTape.columns` gives one kind's fields as columns,
+:meth:`EventTape.seqs` its row indices and :meth:`EventTape.select`
+the kind codes of the rows of some kinds, in row order.
+:meth:`EventTape.events` builds the event objects, for reports and
+tests.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import sys
 from array import array
 from dataclasses import fields
 from itertools import compress
 from math import isfinite
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .events import (
     Alloc,
@@ -48,7 +69,18 @@ from .events import (
     TelemetryEvent,
 )
 
-__all__ = ["EventTape", "BLOCK_ROWS"]
+__all__ = [
+    "EventTape",
+    "BLOCK_ROWS",
+    "TAPE_FORMAT",
+    "TAPE_VERSION",
+    "ALLOC",
+    "FREE",
+    "MOVE",
+    "WINDOW",
+    "STAGE",
+    "CHARGE",
+]
 
 #: Rows encoded per block by :meth:`EventTape.digest` and
 #: :meth:`EventTape.write_jsonl` (bounds their working memory).
@@ -84,6 +116,35 @@ _FIELD_GETTERS = tuple(
 #: ``bytes.translate`` tables mapping one kind code to 1, the rest to 0.
 _MASKS = tuple(bytes(int(code == kind) for code in range(256))
                for kind in range(len(_KINDS)))
+
+#: Per kind code, the row offsets of its string-table ids.
+_STRING_OFFSETS = tuple(
+    tuple(offset for offset, name in enumerate(row)
+          if {field.name: field.type for field in fields(cls)}[name] == "str")
+    for cls, row in zip(_KINDS, _ROW_FIELDS)
+)
+
+#: Per kind code, ``(name, type)`` of every field but ``seq``, in
+#: dataclass order: what a legacy JSONL line must carry.
+_FIELD_TYPES = tuple(
+    tuple((field.name, {"int": int, "str": str, "float": float}[field.type])
+          for field in fields(cls) if field.name != "seq")
+    for cls in _KINDS
+)
+
+#: Per kind code, the exact key set of its JSONL line.
+_KEYS = tuple(frozenset({"kind", "seq", *(name for name, _ in types)})
+              for types in _FIELD_TYPES)
+
+#: How type errors name the JSON type a field must have.
+_JSON_TYPES = {int: "integer", str: "string", float: "float"}
+
+#: The ``format`` of a stored tape's header, and its version.
+TAPE_FORMAT = "repro-event-tape"
+TAPE_VERSION = 1
+
+#: Every stored tape starts with these bytes (the header's first key).
+_MAGIC = b'{"format": "repro-event-tape", '
 
 _PathLike = Union[str, Path]
 
@@ -208,6 +269,205 @@ class EventTape:
         if code is None:
             raise ValueError(f"unknown telemetry event kind {event.kind!r}")
         _APPENDERS[code](self, *_FIELD_GETTERS[code](event))
+
+    @classmethod
+    def from_events(cls, events: Iterable[TelemetryEvent]) -> "EventTape":
+        """A tape holding one row per event, in order.
+
+        Each row's index becomes its ``seq``: the events' own ``seq``
+        fields are not read.
+        """
+        tape = cls()
+        for event in events:
+            tape.record(event)
+        return tape
+
+    # Reading rows ----------------------------------------------------------------
+
+    def counts(self) -> list[int]:
+        """The number of rows of each kind, by kind code."""
+        return [len(rows) // len(names)
+                for rows, names in zip(self._rows, _ROW_FIELDS)]
+
+    def seqs(self, code: int) -> Iterator[int]:
+        """The row index (``seq``) of every row of kind ``code``, in order."""
+        kinds = self._kinds
+        return compress(range(len(kinds)), kinds.translate(_MASKS[code]))
+
+    def select(self, codes: Iterable[int]) -> Iterator[int]:
+        """The kind code of every row whose kind is in ``codes``, in order."""
+        wanted = set(codes)
+        mask = bytes(int(code in wanted) for code in range(256))
+        return compress(self._kinds, self._kinds.translate(mask))
+
+    def columns(self, code: int) -> list[Iterable]:
+        """Kind ``code``'s rows as one column per field, in row order.
+
+        Columns follow the event's dataclass field order, ``seq``
+        excepted: integer fields are ``array('q')`` copies, string
+        fields iterators of decoded strings, and ``BudgetCharge`` ends
+        with its ``remaining`` column.
+        """
+        rows = self._rows[code]
+        width = len(_ROW_FIELDS[code])
+        columns: list[Iterable] = [rows[offset::width]
+                                   for offset in range(width)]
+        texts = list(self._string_ids).__getitem__
+        for offset in _STRING_OFFSETS[code]:
+            columns[offset] = map(texts, columns[offset])
+        if code == CHARGE:
+            columns.append(self._remaining)
+        return columns
+
+    def events(self) -> list[TelemetryEvent]:
+        """Every row as an event object, ``seq`` stamped."""
+        made = [map(cls, *self.columns(code))
+                for code, cls in enumerate(_KINDS)]
+        events = [next(made[code]) for code in self._kinds]
+        for seq, event in enumerate(events):
+            event.seq = seq
+        return events
+
+    # Stored form -----------------------------------------------------------------
+
+    def write(self, path: _PathLike) -> Path:
+        """Store the tape as one file (parents created; see the module docs)."""
+        header = {"format": TAPE_FORMAT, "version": TAPE_VERSION,
+                  "byteorder": sys.byteorder, "counts": self.counts(),
+                  "strings": list(self._string_ids)}
+        target = Path(path)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        with target.open("wb") as handle:
+            handle.write(json.dumps(header).encode() + b"\n")
+            handle.write(self._kinds)
+            for rows in self._rows:
+                rows.tofile(handle)
+            self._remaining.tofile(handle)
+        return target
+
+    @staticmethod
+    def is_stored(path: _PathLike) -> bool:
+        """Whether ``path`` starts like a file :meth:`write` stored."""
+        with Path(path).open("rb") as handle:
+            return handle.read(len(_MAGIC)) == _MAGIC
+
+    @classmethod
+    def read(cls, path: _PathLike) -> "EventTape":
+        """Read a file :meth:`write` stored; an empty file holds no rows.
+
+        Raises ``ValueError`` naming the file for anything malformed.
+        """
+        source = Path(path)
+        with source.open("rb") as handle:
+            first = handle.readline()
+            if not first:
+                return cls()
+            try:
+                return cls._read_columns(first, handle)
+            except (ValueError, EOFError) as error:
+                raise ValueError(f"{source}: {error}") from None
+
+    @classmethod
+    def _read_columns(cls, first: bytes, handle) -> "EventTape":
+        if not first.startswith(_MAGIC):
+            raise ValueError("not a stored event tape")
+        header = json.loads(first)
+        version = header.get("version")
+        if header.get("format") != TAPE_FORMAT or version != TAPE_VERSION:
+            raise ValueError(f"tape version {version!r} unsupported "
+                             f"(expected {TAPE_VERSION})")
+        byteorder = header.get("byteorder")
+        if byteorder not in ("little", "big"):
+            raise ValueError(f"unknown byte order {byteorder!r}")
+        counts = header.get("counts")
+        if (type(counts) is not list or len(counts) != len(_KINDS)
+                or any(type(n) is not int or n < 0 for n in counts)):
+            raise ValueError(f"bad per-kind row counts {counts!r}")
+        strings = header.get("strings")
+        if (type(strings) is not list
+                or any(type(text) is not str for text in strings)
+                or len(set(strings)) != len(strings)):
+            raise ValueError("bad string table")
+        tape = cls()
+        columns = [*tape._rows, tape._remaining]
+        sizes = [count * len(names) for count, names in zip(counts, _ROW_FIELDS)]
+        sizes.append(counts[CHARGE])
+        total = sum(counts)
+        needed = total + sum(column.itemsize * size
+                             for column, size in zip(columns, sizes))
+        held = os.fstat(handle.fileno()).st_size - handle.tell()
+        if held < needed:
+            raise ValueError(f"columns hold {held} of the {needed} bytes "
+                             "the header's counts need")
+        if held > needed:
+            raise ValueError(f"{held - needed} trailing bytes after the "
+                             "columns the header's counts describe")
+        kinds = handle.read(total)
+        if kinds and max(kinds) >= len(_KINDS):
+            raise ValueError(f"unknown kind code {max(kinds)}")
+        for code, count in enumerate(counts):
+            if kinds.count(code) != count:
+                raise ValueError(
+                    f"kind column has {kinds.count(code)} "
+                    f"{_KINDS[code].kind} rows, the header {count}")
+        tape._kinds = bytearray(kinds)
+        for column, size in zip(columns, sizes):
+            column.fromfile(handle, size)
+        if byteorder != sys.byteorder:
+            for column in columns:
+                column.byteswap()
+        for code, offsets in enumerate(_STRING_OFFSETS):
+            width = len(_ROW_FIELDS[code])
+            for offset in offsets:
+                ids = tape._rows[code][offset::width]
+                if ids and not 0 <= min(ids) <= max(ids) < len(strings):
+                    raise ValueError(f"string id outside the table of "
+                                     f"{len(strings)}")
+        tape._strings = [json.dumps(text) for text in strings]
+        tape._string_ids = {text: index for index, text in enumerate(strings)}
+        return tape
+
+    @classmethod
+    def read_jsonl(cls, path: _PathLike) -> "EventTape":
+        """Read a legacy ``events.jsonl`` type-strictly (see the module docs).
+
+        Blank lines are skipped.  Raises ``ValueError`` naming the file
+        and line for anything else that is not an event line.
+        """
+        source = Path(path)
+        tape = cls()
+        with source.open("rb") as handle:
+            for number, raw in enumerate(handle, 1):
+                try:
+                    line = raw.decode("utf-8")
+                    if line.strip():
+                        tape._append_record(json.loads(line))
+                except (ValueError, OverflowError) as error:
+                    raise ValueError(f"{source}, line {number}: {error}") \
+                        from None
+        return tape
+
+    def _append_record(self, record: object) -> None:
+        """Append one parsed JSONL line, checking its shape first."""
+        if type(record) is not dict:
+            raise ValueError("not a JSON object")
+        kind = record.get("kind")
+        code = _CODES.get(kind) if type(kind) is str else None
+        if code is None:
+            raise ValueError(f"unknown event kind {kind!r}")
+        if record.keys() != _KEYS[code]:
+            raise ValueError(f"{kind} line has keys {sorted(record)}, "
+                             f"expected {sorted(_KEYS[code])}")
+        for name, expected in _FIELD_TYPES[code] + (("seq", int),):
+            if type(record[name]) is not expected:
+                raise ValueError(f"{kind} field {name!r} is "
+                                 f"{record[name]!r}, not a JSON "
+                                 f"{_JSON_TYPES[expected]}")
+        if record["seq"] != len(self._kinds):
+            raise ValueError(f"seq {record['seq']} is not the row index "
+                             f"{len(self._kinds)}")
+        _APPENDERS[code](self, *(record[name]
+                                 for name, _ in _FIELD_TYPES[code]))
 
     # Encoders ------------------------------------------------------------------
 

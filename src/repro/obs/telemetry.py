@@ -7,10 +7,10 @@
 driver — a :class:`~repro.obs.sampler.HeapSampler` producing the time
 series.  :func:`run_recorded` is the one-call path the CLI and the
 experiment grids use: build telemetry, instrument driver + program, run,
-persist a ``manifest.json`` / ``events.jsonl`` pair.  Both files come
+persist a ``manifest.json`` / ``events.tape`` pair.  Both files come
 from the bus's event tape: the online subscribers (metrics, sampler,
-sanitizer, stage spans) see event objects as they happen, and nothing
-else buffers or re-hashes the stream.
+stage spans) see event objects as they happen, and nothing else buffers
+or re-hashes the stream.
 """
 
 from __future__ import annotations
@@ -152,20 +152,18 @@ def run_recorded(
     budget=None,
     extra_config: dict | None = None,
     on_driver=None,
-    extra_sinks=None,
     tracer: Tracer | None = None,
     kernel: str | None = None,
 ) -> "ExecutionResult":
     """Run one fully instrumented execution and persist it.
 
-    Writes ``manifest.json`` and ``events.jsonl`` into ``directory``
+    Writes ``manifest.json`` and ``events.tape`` into ``directory``
     (created if needed) and returns the
     :class:`~repro.adversary.driver.ExecutionResult` as usual.
     ``on_driver`` (if given) is called with the constructed driver
-    before the run — callers needing post-run heap access (e.g. the
-    CLI's ``--heapmap``) capture it there.  ``extra_sinks`` (an iterable
-    of event callables, e.g. a :class:`repro.check.Sanitizer`) are
-    subscribed to the bus before the run.
+    before the run — callers needing post-run heap or tape access (the
+    CLI's ``--heapmap``, a :class:`repro.check.Sanitizer` reading
+    ``driver.observer.tape``) capture it there.
 
     ``tracer`` (when given and enabled) records hierarchical spans for
     the run; the spans land in ``trace.jsonl`` next to the events and a
@@ -173,10 +171,11 @@ def run_recorded(
     ``event_digest`` is identical with or without them.
 
     The bus's :class:`~repro.obs.tape.EventTape` is the one record of
-    the stream: ``events.jsonl`` is written from it, and the manifest's
+    the stream: it is stored as ``events.tape``
+    (:meth:`~repro.obs.tape.EventTape.write`), and the manifest's
     ``event_digest`` (the canonical SHA-256 that lets ``repro check``
-    detect later tampering with ``events.jsonl`` and verify
-    deterministic replays) is computed from it, once.
+    detect later tampering with the events and verify deterministic
+    replays) is computed from it, once.
     """
     from ..adversary.driver import ExecutionDriver  # avoid import cycle
     from .profile import profile_block
@@ -188,9 +187,6 @@ def run_recorded(
     trace_mark = live_tracer.mark() if live_tracer is not None else 0
 
     telemetry = Telemetry(sample_every=sample_every)
-    if extra_sinks is not None:
-        for sink in extra_sinks:
-            telemetry.bus.subscribe(sink)
     telemetry.instrument_program(program)
 
     driver = ExecutionDriver(
@@ -216,7 +212,7 @@ def run_recorded(
         profile = profile_block(run_spans, dropped=live_tracer.dropped)
 
     tape = telemetry.bus.tape
-    tape.write_jsonl(target / EVENTS_FILENAME)
+    tape.write(target / EVENTS_FILENAME)
     budget_snapshot = result.budget
     config = {"sample_every": sample_every, "record_trace": record_trace,
               "paranoid": paranoid, "trace": live_tracer is not None,

@@ -6,8 +6,13 @@ Layout of a cache directory::
       manifest.jsonl        # one line per *executed* simulation, appended
       <key>/                # one entry per distinct task
         manifest.json       # standard run manifest (repro check works)
-        events.jsonl        # the run's full event stream
+        events.tape         # the run's event tape (header + raw columns)
         result.json         # TaskResult record (written last = complete)
+
+Entries written before the tape was stored hold ``events.jsonl`` in
+place of ``events.tape``; :func:`repro.obs.export.load_run` reads
+either, so they stay checkable and keep their keys (the tape changed
+no digest, so :data:`CACHE_SCHEMA` did not move).
 
 The key is :func:`task_digest`: SHA-256 over the canonical JSON of the
 task spec (``BoundParams`` triple, manager name, program name +

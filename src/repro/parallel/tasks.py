@@ -402,7 +402,7 @@ def run_task(task: SimTask, record_root: str | None = None,
     event objects at all.  With ``record_root`` set, the run is
     additionally persisted as a standard ``repro check``-able run
     directory under ``<record_root>/<cache key>/`` (manifest.json +
-    events.jsonl) plus a ``result.json`` the cache reads back — written
+    events.tape) plus a ``result.json`` the cache reads back — written
     last, so a directory with ``result.json`` is always complete.
 
     With ``trace=True`` the execution runs under a private (coarse)

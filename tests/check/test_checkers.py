@@ -19,17 +19,12 @@ from repro.obs.events import (
     Move,
     StageTransition,
 )
-
-
-def _rules(checker) -> list[str]:
-    checker.finalize()
-    return [violation.rule for violation in checker.violations]
+from repro.obs.tape import EventTape
 
 
 def _feed(checker, events) -> list[str]:
-    for event in events:
-        checker.feed(event)
-    return _rules(checker)
+    checker.check(EventTape.from_events(events))
+    return [violation.rule for violation in checker.violations]
 
 
 class TestShadowHeap:
@@ -241,7 +236,7 @@ class TestRunCheckers:
             Alloc(object_id=0, size=16, address=0, seq=0),
             Alloc(object_id=1, size=16, address=8, seq=1),  # overlap
         ]
-        report = run_checkers(events, CheckContext())
+        report = run_checkers(EventTape.from_events(events), CheckContext())
         assert not report.ok
         assert report.event_count == 2
         assert report.notes["event_digest"] == event_stream_digest(events)

@@ -105,9 +105,10 @@ def test_experiment_grid_runs_sanitized():
 
 
 def test_sanitizer_raises_on_violation():
-    sanitizer = Sanitizer(CheckContext())
-    sanitizer(Alloc(object_id=0, size=16, address=0, seq=0))
-    sanitizer(Alloc(object_id=1, size=16, address=8, seq=1))  # overlap
+    bus = EventBus()
+    sanitizer = Sanitizer(CheckContext()).attach(bus)
+    bus.emit(Alloc(object_id=0, size=16, address=0))
+    bus.emit(Alloc(object_id=1, size=16, address=8))  # overlap
     with pytest.raises(InvariantViolationError) as excinfo:
         sanitizer.finish()
     assert any(v.rule == "overlap" for v in excinfo.value.violations)

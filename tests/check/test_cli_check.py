@@ -11,7 +11,34 @@ import json
 
 from repro.check import corrupt
 from repro.cli import main
-from repro.obs.export import EVENTS_FILENAME, load_run, write_events
+from repro.obs.export import (
+    EVENTS_FILENAME,
+    JSONL_FILENAME,
+    load_run,
+    write_events,
+)
+from repro.obs.tape import EventTape
+
+#: The two run-directory layouts ``repro check`` reads.
+_LAYOUTS = ("tape", "jsonl")
+
+
+def _run_with(tmp_path, clean_run_dir, events, layout):
+    """A run directory: the clean manifest plus ``events`` in ``layout``.
+
+    ``tape`` stores them as a recorded run does; ``jsonl`` is the
+    legacy layout (an ``events.jsonl``, as ``repro export`` writes).
+    """
+    directory = tmp_path / layout
+    directory.mkdir()
+    (directory / "manifest.json").write_text(
+        (clean_run_dir / "manifest.json").read_text()
+    )
+    if layout == "tape":
+        EventTape.from_events(events).write(directory / EVENTS_FILENAME)
+    else:
+        write_events(directory / JSONL_FILENAME, events)
+    return directory
 
 
 class TestCheckCommand:
@@ -32,30 +59,22 @@ class TestCheckCommand:
     def test_corrupted_run_exit_1(self, clean_run_dir, clean_context,
                                   tmp_path, capsys):
         run = load_run(clean_run_dir)
-        bad_dir = tmp_path / "bad"
-        bad_dir.mkdir()
-        (bad_dir / "manifest.json").write_text(
-            (clean_run_dir / "manifest.json").read_text()
-        )
-        write_events(bad_dir / EVENTS_FILENAME,
-                     corrupt("overlap", run.events, clean_context))
-        assert main(["check", str(bad_dir)]) == 1
-        captured = capsys.readouterr()
-        assert "FAIL: paper invariants violated" in captured.err
-        assert "[shadow-heap] overlap" in captured.out
+        events = corrupt("overlap", run.events, clean_context)
+        for layout in _LAYOUTS:
+            bad_dir = _run_with(tmp_path, clean_run_dir, events, layout)
+            assert main(["check", str(bad_dir)]) == 1, layout
+            captured = capsys.readouterr()
+            assert "FAIL: paper invariants violated" in captured.err
+            assert "[shadow-heap] overlap" in captured.out
 
     def test_tampered_events_caught_by_digest(self, clean_run_dir,
                                               clean_context, tmp_path, capsys):
         run = load_run(clean_run_dir)
-        bad_dir = tmp_path / "tampered"
-        bad_dir.mkdir()
-        (bad_dir / "manifest.json").write_text(
-            (clean_run_dir / "manifest.json").read_text()
-        )
-        write_events(bad_dir / EVENTS_FILENAME,
-                     corrupt("truncation", run.events, clean_context))
-        assert main(["check", str(bad_dir)]) == 1
-        assert "digest-mismatch" in capsys.readouterr().out
+        events = corrupt("truncation", run.events, clean_context)
+        for layout in _LAYOUTS:
+            bad_dir = _run_with(tmp_path, clean_run_dir, events, layout)
+            assert main(["check", str(bad_dir)]) == 1, layout
+            assert "digest-mismatch" in capsys.readouterr().out
 
     def test_missing_path_exit_2(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "nope")]) == 2

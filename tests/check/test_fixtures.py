@@ -9,6 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.check import FIXTURES, clone_events, corrupt, run_checkers
+from repro.obs.tape import EventTape
 
 FIXTURE_NAMES = [fixture.name for fixture in FIXTURES]
 
@@ -35,7 +36,7 @@ def test_corrupt_unknown_name_raises():
 def test_fixture_is_flagged_by_its_checker(name, clean_run, clean_context):
     fixture = next(f for f in FIXTURES if f.name == name)
     corrupted = corrupt(name, clean_run.events, clean_context)
-    report = run_checkers(corrupted, clean_context)
+    report = run_checkers(EventTape.from_events(corrupted), clean_context)
     flagged = {(v.checker, v.rule) for v in report.violations}
     assert (fixture.checker, fixture.rule) in flagged, (
         f"fixture {name!r} ({fixture.description}) was not flagged; "

@@ -7,6 +7,7 @@ from repro.adversary.driver import ExecutionDriver
 from repro.core.params import BoundParams
 from repro.mm import create_manager
 from repro.obs.export import EVENTS_FILENAME, load_run
+from repro.obs.tape import EventTape
 from repro.obs.telemetry import Telemetry, run_recorded
 
 
@@ -92,8 +93,8 @@ class TestRunRecorded:
         assert run.manifest["manager"] == result.manager_name
         assert run.manifest["result"]["heap_size"] == result.heap_size
         assert run.manifest["event_count"] == len(run.events)
-        lines = (target / EVENTS_FILENAME).read_text().splitlines()
-        assert len(lines) == run.manifest["event_count"]
+        stored = EventTape.read(target / EVENTS_FILENAME)
+        assert len(stored) == run.manifest["event_count"]
 
     def test_events_include_stage_handoff(self, params, tmp_path):
         run_recorded(

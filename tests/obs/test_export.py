@@ -7,6 +7,7 @@ import pytest
 from repro.obs.events import Alloc, EventBus, Free, StageTransition
 from repro.obs.export import (
     EVENTS_FILENAME,
+    JSONL_FILENAME,
     MANIFEST_FILENAME,
     SCHEMA_VERSION,
     build_manifest,
@@ -33,12 +34,12 @@ def _some_events():
 class TestJsonl:
     def test_round_trip(self, tmp_path):
         bus, seen = _some_events()
-        path = bus.tape.write_jsonl(tmp_path / "sub" / EVENTS_FILENAME)
+        path = bus.tape.write_jsonl(tmp_path / "sub" / JSONL_FILENAME)
         assert read_events(path) == seen
 
     def test_one_sorted_json_object_per_line(self, tmp_path):
         _, seen = _some_events()
-        path = write_events(tmp_path / EVENTS_FILENAME, seen)
+        path = write_events(tmp_path / JSONL_FILENAME, seen)
         lines = path.read_text().splitlines()
         assert len(lines) == 3
         first = json.loads(lines[0])
@@ -96,12 +97,16 @@ class TestManifest:
             load_manifest(tmp_path)
 
     def test_load_run_pairs_manifest_and_events(self, tmp_path):
-        write_manifest(tmp_path, self._manifest())
-        write_events(tmp_path / EVENTS_FILENAME, _some_events()[1])
-        run = load_run(tmp_path)
-        assert run.live_space_bound == 2048
-        assert len(run.events) == 3
-        assert [e.kind for e in run.events_of_kind("alloc")] == ["alloc"]
+        bus, seen = _some_events()
+        stored, legacy = tmp_path / "stored", tmp_path / "legacy"
+        bus.tape.write(stored / EVENTS_FILENAME)
+        write_events(legacy / JSONL_FILENAME, seen)
+        for directory in (stored, legacy):
+            write_manifest(directory, self._manifest())
+            run = load_run(directory)
+            assert run.live_space_bound == 2048
+            assert len(run.events) == 3
+            assert [e.kind for e in run.events_of_kind("alloc")] == ["alloc"]
 
     def test_load_run_tolerates_missing_events(self, tmp_path):
         write_manifest(tmp_path, self._manifest())

@@ -4,6 +4,7 @@ import pytest
 
 from repro.obs.events import Alloc, Free, Move, StageTransition
 from repro.obs.export import RunData, build_manifest
+from repro.obs.tape import EventTape
 from repro.obs.report import (
     render_run,
     replay_waste_trajectory,
@@ -85,7 +86,7 @@ class TestRenderRun:
             samples=list(samples),
         )
         from pathlib import Path
-        return RunData(Path("unused"), manifest, events)
+        return RunData(Path("unused"), manifest, EventTape.from_events(events))
 
     def test_full_report_sections(self):
         sample = {"event_index": 4, "high_water": 8, "live_words": 4,

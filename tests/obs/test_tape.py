@@ -1,7 +1,9 @@
 """The event tape: one row per event, the digest and JSONL from columns."""
 
 import hashlib
+import json
 import random
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -13,13 +15,13 @@ import repro.obs.events as events_module
 import repro.obs.tape as tape_module
 from repro.adversary import PFProgram
 from repro.check.determinism import (
-    _canonical_event_bytes_slow,
+    canonical_event_bytes,
     event_stream_digest,
 )
 from repro.core.params import BoundParams
 from repro.mm import create_manager
 from repro.obs.events import Alloc, EventBus, Free
-from repro.obs.export import EVENTS_FILENAME, write_events
+from repro.obs.export import EVENTS_FILENAME, read_tape, write_events
 from repro.obs.tape import EventTape
 from repro.obs.telemetry import run_recorded
 
@@ -63,7 +65,7 @@ def _replay(calls, *, subscribed: bool):
 def _slow_digest(events) -> str:
     hasher = hashlib.sha256()
     for event in events:
-        hasher.update(_canonical_event_bytes_slow(event))
+        hasher.update(canonical_event_bytes(event))
     return hasher.hexdigest()
 
 
@@ -111,6 +113,55 @@ class TestDifferential:
         written = bus.tape.write_jsonl(tmp_path / "tape.jsonl")
         reference = write_events(tmp_path / "objects.jsonl", seen)
         assert written.read_bytes() == reference.read_bytes()
+
+
+class TestStoredForm:
+    @settings(max_examples=150, deadline=None)
+    @given(calls=st.lists(_CALLS, max_size=40))
+    def test_file_and_jsonl_round_trips_keep_every_row(
+            self, tmp_path_factory, calls):
+        tape = _replay(calls, subscribed=False)[0].tape
+        directory = tmp_path_factory.mktemp("stored")
+        jsonl = tape.write_jsonl(directory / "events.jsonl")
+        stored = EventTape.read(tape.write(directory / "events.tape"))
+        legacy = EventTape.read_jsonl(jsonl)
+        for copy in (stored, legacy, read_tape(directory / "events.tape"),
+                     read_tape(jsonl)):
+            assert copy.counts() == tape.counts()
+            assert copy.digest() == tape.digest()
+            written = copy.write_jsonl(directory / "copy.jsonl")
+            assert written.read_bytes() == jsonl.read_bytes()
+
+    def test_foreign_byte_order_is_swapped_on_read(self, tmp_path):
+        tape = EventTape()
+        tape.append_alloc(1, 16, 2**40, 7)
+        tape.append_charge("move", 3, -0.25)
+        tape.append_stage("p", "I", -5, "ünï")
+        header, _, _ = tape.write(tmp_path / "native.tape") \
+            .read_bytes().partition(b"\n")
+        fields = json.loads(header)
+        fields["byteorder"] = "big" if sys.byteorder == "little" else "little"
+        columns = [*tape._rows, tape._remaining]
+        swapped = [column[:] for column in columns]
+        for column in swapped:
+            column.byteswap()
+        with (tmp_path / "foreign.tape").open("wb") as handle:
+            handle.write(json.dumps(fields).encode() + b"\n")
+            handle.write(tape._kinds)
+            for column in swapped:
+                column.tofile(handle)
+        foreign = EventTape.read(tmp_path / "foreign.tape")
+        assert foreign.events() == tape.events()
+
+    def test_empty_file_holds_no_rows(self, tmp_path):
+        (tmp_path / "empty.tape").write_bytes(b"")
+        assert len(EventTape.read(tmp_path / "empty.tape")) == 0
+
+    def test_events_carry_row_indices(self):
+        tape = EventTape.from_events([Free(1, 4, 0, seq=9),
+                                      Alloc(2, 4, 0, seq=9)])
+        assert [event.seq for event in tape.events()] == [0, 1]
+        assert tape.events()[1] == Alloc(2, 4, 0, seq=1)
 
 
 class TestTape:
@@ -192,10 +243,12 @@ class TestBusProducers:
         target = tmp_path / "run"
         run_recorded(params, PFProgram(params),
                      create_manager("window-compactor", params), target,
-                     extra_sinks=[seen.append])
+                     on_driver=lambda driver: driver.observer.subscribe(
+                         seen.append))
         assert [event.seq for event in seen] == list(range(len(seen)))
         assert any(event.kind == "alloc" and event.latency_ns > 0
                    for event in seen)
         reference = write_events(tmp_path / "sinks.jsonl", seen)
-        assert (target / EVENTS_FILENAME).read_bytes() == \
+        stored = EventTape.read(target / EVENTS_FILENAME)
+        assert stored.write_jsonl(tmp_path / "stored.jsonl").read_bytes() == \
             reference.read_bytes()

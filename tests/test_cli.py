@@ -166,7 +166,7 @@ class TestTelemetry:
     def test_simulate_telemetry_writes_run_dir(self, tmp_path, capsys):
         target, out = self._record(tmp_path, capsys)
         assert (target / "manifest.json").is_file()
-        assert (target / "events.jsonl").is_file()
+        assert (target / "events.tape").is_file()
         assert "telemetry written to" in out
         assert "events/s" in out
 

@@ -10,8 +10,10 @@ comparison per operation), with a full
 :class:`repro.obs.telemetry.Telemetry` attached (metrics collector and
 heap sampler subscribed, so every event is also built as an object;
 the bus's tape is the run's record, as in ``run_recorded``), and with
-the :class:`repro.check.Sanitizer` checker set riding the instrumented
-bus — and fails if the subscriber-free bus is more than
+the :class:`repro.check.Sanitizer` attached to the instrumented bus
+(its checkers make one pass each over the bus's tape at ``finish()``,
+which is timed with the run; it subscribes nothing) — and fails if
+the subscriber-free bus is more than
 ``--no-sink-threshold`` (default 1.5) times slower, the disabled tracer
 more than ``--no-trace-threshold`` (default 1.5, target ~1.05) times
 slower, instrumentation more than ``--threshold`` (default 2.0) times
