@@ -23,9 +23,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 from check_overhead import MANAGER, PARAMS, measure  # noqa: E402
 
 
+#: Interleaved rounds (each runs every variant once; minima compared):
+#: one round let the no-sink ratio spread as wide as its 1.5x wall.
+REPEATS = 5
+
+
 def test_sanitizer_overhead(benchmark, bench_record):
     report = benchmark.pedantic(
-        lambda: measure(repeats=1, sanitize=True, no_sink=True),
+        lambda: measure(repeats=REPEATS, sanitize=True, no_sink=True),
         rounds=1, iterations=1,
     )
     print(f"\nsanitizer overhead: {report.describe()}")

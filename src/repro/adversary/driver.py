@@ -113,6 +113,11 @@ class ExecutionDriver:
         #: on this, so uninstrumented runs pay one comparison per
         #: operation; a bus records each event as one tape row).
         self.observer = observer
+        #: Read ``perf_counter_ns`` around each allocation for
+        #: ``Alloc.latency_ns`` (:meth:`repro.obs.telemetry.Telemetry.bind`
+        #: turns this on; the digest excludes latency, so the tape alone
+        #: does not need the clock).
+        self.time_allocations = False
         #: The span tracer, hoisted through active_tracer so a disabled
         #: tracer costs exactly what no tracer costs (one comparison);
         #: _fine_tracer is non-None only when per-operation spans are on.
@@ -163,9 +168,7 @@ class ExecutionDriver:
                 f"{self.heap.live_words + size} > M={self.params.live_space}"
             )
         observer = self.observer
-        # The clock is read only when a subscriber will see latency_ns
-        # (the digest excludes it, so the tape alone does not need it).
-        timed = observer is not None and observer.has_sinks
+        timed = self.time_allocations
         start_ns = time.perf_counter_ns() if timed else 0
         tracer = self._fine_tracer
         if tracer is not None:

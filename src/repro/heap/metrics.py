@@ -47,17 +47,25 @@ class HeapMetrics:
 
 
 def snapshot(heap: SimHeap) -> HeapMetrics:
-    """Capture every metric at once (single pass over the gap list)."""
-    gaps = list(heap.free_gaps())
-    free_words = sum(end - start for start, end in gaps)
-    largest = max((end - start for start, end in gaps), default=0)
+    """Capture every metric at once, in O(1).
+
+    The free gaps below the high-water mark are the interval set's
+    indexed gaps inside ``[0, span_end)`` plus the tail
+    ``[span_end, high_water)`` when it is not empty, so their count,
+    largest size and total come from the gap index and the covered-word
+    count without walking a gap.
+    """
+    occupied = heap.occupied
     hw = heap.high_water
+    tail = hw - occupied.span_end
+    free_words = hw - occupied.total
+    largest = max(occupied.max_gap_hint, tail)
     return HeapMetrics(
         high_water=hw,
         live_words=heap.live_words,
         live_objects=heap.objects.live_count,
         free_words=free_words,
-        free_gaps=len(gaps),
+        free_gaps=occupied.gap_count + (tail > 0),
         largest_gap=largest,
         utilization=(heap.live_words / hw) if hw else 1.0,
         external_fragmentation=(

@@ -3,14 +3,15 @@
 This package is the observability substrate of the reproduction.  One
 typed :class:`~repro.obs.events.EventBus` carries everything that
 happens during an execution (allocations, frees, moves, compaction
-windows, budget charges, adversary stage transitions); subscribers turn
-the stream into :mod:`metrics <repro.obs.metrics>` (counters, gauges,
-latency/size histograms), a :mod:`sampled time series
-<repro.obs.sampler>`, and a persisted :mod:`manifest/tape pair
-<repro.obs.export>` that ``repro report`` renders and ``repro check``
-audits.  The bus records every event once, as a row of its
-:mod:`event tape <repro.obs.tape>`; the run's digest, its stored
+windows, budget charges, adversary stage transitions) and records every
+event once, as a row of its :mod:`event tape <repro.obs.tape>`.  The
+tape is folded into :mod:`metrics <repro.obs.metrics>` (counters,
+gauges, latency/size histograms), its row clock drives a :mod:`sampled
+time series <repro.obs.sampler>`, and it is persisted with a manifest
+as a :mod:`run directory <repro.obs.export>` that ``repro report``
+renders and ``repro check`` audits; the run's digest, its stored
 ``events.tape`` and the ``events.jsonl`` export all come from the tape.
+Event objects are built only for subscribers.
 
 Instrumentation is strictly opt-in: every hook in the driver, the budget
 ledger and the adversary programs is an ``EventBus | None`` defaulting

@@ -21,12 +21,15 @@ sites hold an ``EventBus | None`` and emit through the bus's per-kind
 methods (:meth:`EventBus.emit_alloc` and siblings) behind one ``if bus
 is not None``.  The bus records every event as one row of its
 :class:`~repro.obs.tape.EventTape`, typed columns from which the run's
-canonical digest and stored ``events.tape`` are computed once, at run
-end.
+canonical digest, its stored ``events.tape`` and its metrics are
+computed at run end.
 An event object is built only when someone subscribes: a bus without
 subscribers appends a row and nothing else, and an uninstrumented run
-pays one pointer comparison per operation.  ``tools/check_overhead.py``
-and ``benchmarks/bench_sanitizer_overhead.py`` hold both paths to their
+pays one pointer comparison per operation.  The one online consumer
+that needs no objects, the heap sampler, rides the bus's *row clock*
+(:attr:`EventBus.on_row`): a callback run after every recorded row, on
+either path.  ``tools/check_overhead.py`` and
+``benchmarks/bench_sanitizer_overhead.py`` hold these paths to their
 throughput budgets.
 """
 
@@ -197,10 +200,11 @@ class EventBus:
     the per-kind methods (:meth:`emit_alloc` and siblings).  With no
     subscribers these append the row and build nothing; with
     subscribers they build the dataclass and hand it to :meth:`emit`,
-    the one fan-out point.
+    the one fan-out point.  Either way, :attr:`on_row` (when set) runs
+    once the row is recorded.
     """
 
-    __slots__ = ("_sinks", "tape")
+    __slots__ = ("_sinks", "tape", "on_row")
 
     def __init__(self) -> None:
         from .tape import EventTape  # the tape module imports the events
@@ -208,6 +212,10 @@ class EventBus:
         self._sinks: list[EventSink] = []
         #: Every event so far, one row each (see :mod:`repro.obs.tape`).
         self.tape = EventTape()
+        #: The row clock: called with no arguments after every row the
+        #: bus records, before subscribers see the row's event (the
+        #: :class:`~repro.obs.sampler.HeapSampler` cadence), or None.
+        self.on_row: Callable[[], None] | None = None
 
     @property
     def event_count(self) -> int:
@@ -218,16 +226,6 @@ class EventBus:
     def sink_count(self) -> int:
         """Number of current subscribers."""
         return len(self._sinks)
-
-    @property
-    def has_sinks(self) -> bool:
-        """Whether anyone is listening.
-
-        Producers need not ask before emitting (the tape records every
-        event either way); the driver asks once per request so it reads
-        the clock for ``latency_ns`` only when someone will see it.
-        """
-        return bool(self._sinks)
 
     def subscribe(self, sink: EventSink) -> EventSink:
         """Add a subscriber; returns it (handy for inline lambdas)."""
@@ -242,6 +240,8 @@ class EventBus:
         """Stamp ``event.seq``, record its row and deliver it in order."""
         event.seq = len(self.tape)
         self.tape.record(event)
+        if self.on_row is not None:
+            self.on_row()
         for sink in self._sinks:
             sink(event)
 
@@ -254,6 +254,8 @@ class EventBus:
             self.emit(Alloc(object_id, size, address, latency_ns))
         else:
             self.tape.append_alloc(object_id, size, address, latency_ns)
+            if self.on_row is not None:
+                self.on_row()
 
     def emit_free(self, object_id: int, size: int, address: int) -> None:
         """Emit a :class:`Free`."""
@@ -261,6 +263,8 @@ class EventBus:
             self.emit(Free(object_id, size, address))
         else:
             self.tape.append_free(object_id, size, address)
+            if self.on_row is not None:
+                self.on_row()
 
     def emit_move(self, object_id: int, size: int, old_address: int,
                   new_address: int) -> None:
@@ -269,6 +273,8 @@ class EventBus:
             self.emit(Move(object_id, size, old_address, new_address))
         else:
             self.tape.append_move(object_id, size, old_address, new_address)
+            if self.on_row is not None:
+                self.on_row()
 
     def emit_window(self, request_size: int, moves: int,
                     moved_words: int) -> None:
@@ -277,6 +283,8 @@ class EventBus:
             self.emit(CompactionWindow(request_size, moves, moved_words))
         else:
             self.tape.append_window(request_size, moves, moved_words)
+            if self.on_row is not None:
+                self.on_row()
 
     def emit_stage(self, program: str, stage: str, step: int,
                    label: str = "") -> None:
@@ -285,6 +293,8 @@ class EventBus:
             self.emit(StageTransition(program, stage, step, label))
         else:
             self.tape.append_stage(program, stage, step, label)
+            if self.on_row is not None:
+                self.on_row()
 
     def emit_charge(self, reason: str, words: int, remaining: float) -> None:
         """Emit a :class:`BudgetCharge`."""
@@ -292,3 +302,5 @@ class EventBus:
             self.emit(BudgetCharge(reason, words, remaining))
         else:
             self.tape.append_charge(reason, words, remaining)
+            if self.on_row is not None:
+                self.on_row()

@@ -1,4 +1,4 @@
-"""Counters, gauges and fixed-bucket histograms, plus the event collector.
+"""Counters, gauges and fixed-bucket histograms, plus the tape collector.
 
 The registry is deliberately tiny — the shapes allocator papers actually
 report: operation counts, per-op latency distributions
@@ -7,25 +7,23 @@ and object/gap size distributions (power-of-two buckets, matching the
 paper's size classes).  Everything serializes to plain dicts for the run
 manifest.
 
-:class:`MetricsCollector` is an :class:`~repro.obs.events.EventBus`
-subscriber that maintains the standard metric set from the event stream
-alone, so any instrumented component gets the same registry contents for
-free.
+:class:`MetricsCollector` maintains the standard metric set from a run's
+:class:`~repro.obs.tape.EventTape` alone, so any instrumented component
+gets the same registry contents for free.  It reads columns, not event
+objects: each :meth:`~MetricsCollector.fold` adds the rows recorded
+since the last one, a whole column at a time.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple, Union
+from bisect import bisect_left
+from collections import Counter as _Tally
+from typing import TYPE_CHECKING, Dict, Iterable, Sequence, Tuple, Union
 
-from .events import (
-    Alloc,
-    BudgetCharge,
-    CompactionWindow,
-    Free,
-    Move,
-    StageTransition,
-    TelemetryEvent,
-)
+from .tape import ALLOC, CHARGE, MOVE, WINDOW
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .tape import EventTape
 
 __all__ = [
     "Counter",
@@ -139,6 +137,33 @@ class Histogram:
                 return
         self.overflow += 1
 
+    def record_many(self, values: Iterable[Union[int, float]]) -> None:
+        """Add every observation in ``values``, bucketing each distinct
+        value once.
+
+        For integer observations the result equals calling
+        :meth:`record` on each in turn (the float total stays exact
+        while it is below ``2**53``).
+        """
+        tally = _Tally(values)
+        if not tally:
+            return
+        bounds = self.bounds
+        last = len(bounds)
+        for value, times in tally.items():
+            index = bisect_left(bounds, value)
+            if index < last:
+                self.counts[index] += times
+            else:
+                self.overflow += times
+            self.total += value * times
+        self.count += sum(tally.values())
+        low, high = min(tally), max(tally)
+        if self.min_value is None or low < self.min_value:
+            self.min_value = low
+        if self.max_value is None or high > self.max_value:
+            self.max_value = high
+
     @property
     def mean(self) -> float:
         """Arithmetic mean of all observations (0.0 when empty)."""
@@ -229,22 +254,24 @@ class MetricsRegistry:
 
 
 class MetricsCollector:
-    """Bus subscriber that fills a registry with the standard metric set.
+    """Fills a registry with the standard metric set from an event tape.
 
     Per-kind event counters (``events.alloc`` etc.), size histograms for
     allocations and moves (power-of-two buckets up to 1 Mi-word), the
-    allocation latency histogram, and gauges tracking the budget ledger.
+    allocation latency histogram (allocations with a zero
+    ``latency_ns`` are not timed and stay out of it), and a gauge
+    holding the budget ledger's last ``remaining``.  Every metric is
+    registered at construction; :meth:`fold` adds the tape's new rows.
     """
 
-    def __init__(self, registry: MetricsRegistry) -> None:
+    def __init__(self, registry: MetricsRegistry, tape: "EventTape") -> None:
         self.registry = registry
+        self.tape = tape
         size_buckets = power_of_two_buckets(20)
-        self._allocs = registry.counter("events.alloc")
-        self._frees = registry.counter("events.free")
-        self._moves = registry.counter("events.move")
-        self._windows = registry.counter("events.compaction_window")
-        self._stages = registry.counter("events.stage_transition")
-        self._charges = registry.counter("events.budget_charge")
+        #: Per kind code, in :mod:`repro.obs.tape` order.
+        self._counters = tuple(registry.counter(f"events.{kind}") for kind in (
+            "alloc", "free", "move", "compaction_window", "stage_transition",
+            "budget_charge"))
         self._alloc_sizes = registry.histogram("alloc.size_words", size_buckets)
         self._move_sizes = registry.histogram("move.size_words", size_buckets)
         self._alloc_latency = registry.histogram(
@@ -254,24 +281,22 @@ class MetricsCollector:
             "compaction_window.moved_words", size_buckets
         )
         self._budget_remaining = registry.gauge("budget.remaining_words")
+        #: Rows of each kind folded in so far.
+        self._folded = [0] * len(self._counters)
 
-    def __call__(self, event: TelemetryEvent) -> None:
-        """Deliver one event (the bus-subscriber interface)."""
-        if isinstance(event, Alloc):
-            self._allocs.inc()
-            self._alloc_sizes.record(event.size)
-            if event.latency_ns:
-                self._alloc_latency.record(event.latency_ns)
-        elif isinstance(event, Free):
-            self._frees.inc()
-        elif isinstance(event, Move):
-            self._moves.inc()
-            self._move_sizes.record(event.size)
-        elif isinstance(event, CompactionWindow):
-            self._windows.inc()
-            self._window_words.record(event.moved_words)
-        elif isinstance(event, StageTransition):
-            self._stages.inc()
-        elif isinstance(event, BudgetCharge):
-            self._charges.inc()
-            self._budget_remaining.set(event.remaining)
+    def fold(self) -> None:
+        """Add the rows the tape recorded since the last fold."""
+        tape, folded = self.tape, self._folded
+        counts = tape.counts()
+        for counter, count, done in zip(self._counters, counts, folded):
+            counter.inc(count - done)
+        _, sizes, _, latencies = tape.columns(ALLOC, folded[ALLOC])
+        self._alloc_sizes.record_many(sizes)
+        self._alloc_latency.record_many(filter(None, latencies))
+        self._move_sizes.record_many(tape.columns(MOVE, folded[MOVE])[1])
+        self._window_words.record_many(tape.columns(WINDOW, folded[WINDOW])[2])
+        if counts[CHARGE] > folded[CHARGE]:
+            # A gauge keeps the newest value: read the last row only.
+            remaining = tape.columns(CHARGE, counts[CHARGE] - 1)[-1]
+            self._budget_remaining.set(remaining[0])
+        self._folded = counts

@@ -1,25 +1,33 @@
 """Periodic heap snapshots: the time-series leg of the telemetry layer.
 
-:class:`HeapSampler` subscribes to an :class:`~repro.obs.events.EventBus`
-and, exactly every ``every`` delivered events, captures a
-:class:`SamplePoint` — the live/high-water/fragmentation state from
-:func:`repro.heap.metrics.snapshot` plus the budget ledger's remaining
-words.  The resulting series is what ``repro report`` and
+:class:`HeapSampler` runs on an :class:`~repro.obs.events.EventBus`'s
+row clock (:attr:`~repro.obs.events.EventBus.on_row`) and, exactly
+every ``every`` recorded rows, captures a :class:`SamplePoint` — the
+live/high-water/fragmentation state from
+:func:`repro.heap.metrics.snapshot` (O(1)) plus the budget ledger's
+remaining words.  The resulting series is what ``repro report`` and
 :mod:`repro.analysis.timeline` render as "waste over time".
 
-Unlike :class:`repro.analysis.timeline.InstrumentedManager` (a manager
-wrapper counting only places/frees), the sampler sees *every* event on
-the bus — moves, budget charges and stage transitions advance its clock
-too — so its cadence is defined over the unified event stream.
+The clock ticks once per tape row, so moves, budget charges and stage
+transitions advance it too: the cadence is defined over the unified
+event stream.  It has to tick online, not in a replay of the tape at
+run end: an allocation's ``budget_charge`` row is recorded after the
+object is placed but before its ``alloc`` row, so a sample taken at the
+charge already sees the object, which a replay of the rows would place
+one row late.  The clock builds no event object.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 from ..heap.heap import SimHeap
 from ..heap.metrics import snapshot
-from .events import TelemetryEvent
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .events import EventBus
+    from .tape import EventTape
 
 __all__ = ["SamplePoint", "HeapSampler"]
 
@@ -28,9 +36,10 @@ __all__ = ["SamplePoint", "HeapSampler"]
 class SamplePoint:
     """One instant of heap + budget state.
 
-    ``seq`` is the bus sequence number of the event that triggered the
-    sample (``-1`` for forced samples), ``event_index`` the sampler's
-    own delivered-event count at capture time.
+    ``seq`` is the row index (the event's ``seq``) of the row that
+    triggered the sample (``-1`` for forced samples), ``event_index``
+    the number of rows the sampler's clock had counted at capture
+    time.
     """
 
     seq: int
@@ -56,7 +65,7 @@ class SamplePoint:
 
 
 class HeapSampler:
-    """Bus subscriber producing a :class:`SamplePoint` every K events."""
+    """Produces a :class:`SamplePoint` every K rows of a bus's tape."""
 
     def __init__(
         self,
@@ -76,17 +85,29 @@ class HeapSampler:
         self.live_bound = live_bound
         self.samples: list[SamplePoint] = []
         self._events = 0
+        #: The attached bus's tape (its length gives a sample's ``seq``).
+        self._tape: "EventTape | None" = None
 
     @property
     def events_seen(self) -> int:
-        """Bus events delivered to this sampler so far."""
+        """Rows counted by this sampler's clock so far."""
         return self._events
 
-    def __call__(self, event: TelemetryEvent) -> None:
-        """Deliver one event; samples on every ``every``-th delivery."""
+    def attach(self, bus: "EventBus") -> "HeapSampler":
+        """Become ``bus``'s row clock, counting every row it records
+        from now on; returns self."""
+        if bus.on_row is not None:
+            raise ValueError("the bus already has a row clock")
+        self._tape = bus.tape
+        bus.on_row = self.tick
+        return self
+
+    def tick(self) -> None:
+        """Count one recorded row (the row clock :meth:`attach`
+        installs); samples on every ``every``-th."""
         self._events += 1
         if self._events % self.every == 0:
-            self.sample(seq=event.seq)
+            self.sample(seq=len(self._tape) - 1)
 
     def sample(self, *, seq: int = -1) -> SamplePoint:
         """Capture a sample now (also the automatic cadence path)."""

@@ -300,23 +300,24 @@ class EventTape:
         mask = bytes(int(code in wanted) for code in range(256))
         return compress(self._kinds, self._kinds.translate(mask))
 
-    def columns(self, code: int) -> list[Iterable]:
+    def columns(self, code: int, start: int = 0) -> list[Iterable]:
         """Kind ``code``'s rows as one column per field, in row order.
 
         Columns follow the event's dataclass field order, ``seq``
         excepted: integer fields are ``array('q')`` copies, string
         fields iterators of decoded strings, and ``BudgetCharge`` ends
-        with its ``remaining`` column.
+        with a copy of its ``remaining`` column.  ``start`` skips that
+        kind's first ``start`` rows (a reader folding in only new rows).
         """
         rows = self._rows[code]
         width = len(_ROW_FIELDS[code])
-        columns: list[Iterable] = [rows[offset::width]
+        columns: list[Iterable] = [rows[start * width + offset::width]
                                    for offset in range(width)]
         texts = list(self._string_ids).__getitem__
         for offset in _STRING_OFFSETS[code]:
             columns[offset] = map(texts, columns[offset])
         if code == CHARGE:
-            columns.append(self._remaining)
+            columns.append(self._remaining[start:])
         return columns
 
     def events(self) -> list[TelemetryEvent]:

@@ -1,16 +1,18 @@
 """The telemetry facade: one object bundling bus, metrics and sampler.
 
 :class:`Telemetry` is what callers actually hold: it owns an
-:class:`~repro.obs.events.EventBus`, keeps a
-:class:`~repro.obs.metrics.MetricsRegistry` fed by a
-:class:`~repro.obs.metrics.MetricsCollector`, and — once bound to a
-driver — a :class:`~repro.obs.sampler.HeapSampler` producing the time
-series.  :func:`run_recorded` is the one-call path the CLI and the
-experiment grids use: build telemetry, instrument driver + program, run,
-persist a ``manifest.json`` / ``events.tape`` pair.  Both files come
-from the bus's event tape: the online subscribers (metrics, sampler,
-stage spans) see event objects as they happen, and nothing else buffers
-or re-hashes the stream.
+:class:`~repro.obs.events.EventBus`, a
+:class:`~repro.obs.metrics.MetricsRegistry` that a
+:class:`~repro.obs.metrics.MetricsCollector` fills from the bus's tape
+whenever it is read, and — once bound to a driver — a
+:class:`~repro.obs.sampler.HeapSampler` on the bus's row clock,
+producing the time series.  :func:`run_recorded` is the one-call path
+the CLI and the experiment grids use: build telemetry, instrument
+driver + program, run, persist a ``manifest.json`` / ``events.tape``
+pair.  Everything comes from the bus's event tape: the metrics are
+folded from its columns, the sampler counts its rows, and nothing
+buffers or re-hashes the stream, so a recorded run builds no event
+object unless someone subscribes.
 """
 
 from __future__ import annotations
@@ -52,14 +54,22 @@ class Telemetry:
 
     def __init__(self, *, sample_every: int = DEFAULT_SAMPLE_EVERY) -> None:
         self.bus = EventBus()
-        self.registry = MetricsRegistry()
-        self.collector = MetricsCollector(self.registry)
-        self.bus.subscribe(self.collector)
+        self.collector = MetricsCollector(MetricsRegistry(), self.bus.tape)
         self.sample_every = sample_every
         self.sampler: HeapSampler | None = None
 
+    @property
+    def registry(self) -> MetricsRegistry:
+        """The metrics, with every row the bus has recorded folded in."""
+        self.collector.fold()
+        return self.collector.registry
+
     def bind(self, driver: "ExecutionDriver") -> "Telemetry":
-        """Attach the heap sampler to a constructed driver; returns self."""
+        """Attach the heap sampler to a constructed driver; returns self.
+
+        Also asks the driver to time each allocation, which fills
+        ``alloc.latency_ns``.
+        """
         if self.sampler is not None:
             raise ValueError("telemetry already bound to a driver")
         self.sampler = HeapSampler(
@@ -67,8 +77,8 @@ class Telemetry:
             driver.budget,
             every=self.sample_every,
             live_bound=driver.params.live_space,
-        )
-        self.bus.subscribe(self.sampler)
+        ).attach(self.bus)
+        driver.time_allocations = True
         return self
 
     def instrument_program(self, program: "AdversaryProgram") -> None:

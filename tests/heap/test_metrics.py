@@ -1,6 +1,8 @@
 """Tests for heap metrics."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.heap.heap import SimHeap
 from repro.heap.metrics import (
@@ -62,6 +64,71 @@ class TestSnapshot:
         assert metrics.total_allocated == heap.total_allocated
         assert metrics.total_moved == 0
         assert metrics.live_objects == 3
+
+
+def walked(heap: SimHeap) -> dict:
+    """The gap fields by definition: a walk of every free gap below HS."""
+    gaps = list(heap.free_gaps())
+    free_words = sum(end - start for start, end in gaps)
+    largest = max((end - start for start, end in gaps), default=0)
+    return {
+        "free_words": free_words,
+        "free_gaps": len(gaps),
+        "largest_gap": largest,
+        "external_fragmentation":
+            1.0 - (largest / free_words) if free_words else 0.0,
+    }
+
+
+#: One op: (kind, a, b), interpreted against the current heap so any
+#: triple is valid: place [a, a+b) if free; free or move (to a) the
+#: live object at index a.
+_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["place", "free", "move"]),
+        st.integers(min_value=0, max_value=300),
+        st.integers(min_value=1, max_value=40),
+    ),
+    max_size=40,
+)
+
+
+def _apply(heap: SimHeap, kind: str, a: int, b: int) -> None:
+    if kind == "place":
+        if heap.is_free(a, b):
+            heap.place(a, b)
+        return
+    live = sorted(obj.object_id for obj in heap.objects.live_objects())
+    if not live:
+        return
+    victim = live[a % len(live)]
+    if kind == "free":
+        heap.free(victim)
+    elif heap.is_free(a, heap.objects.require_live(victim).size):
+        heap.move(victim, a)
+
+
+class TestSnapshotDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_ops)
+    @example(ops=[])  # empty heap: no gaps at all
+    # Tail gap: the last object freed, HS above the covered span.
+    @example(ops=[("place", 0, 4), ("place", 4, 4), ("free", 1, 1)])
+    # A lone leading gap [0, 4) and no tail.
+    @example(ops=[("place", 0, 4), ("place", 4, 2), ("free", 0, 1)])
+    def test_o1_snapshot_equals_gap_walk(self, ops):
+        heap = SimHeap()
+        self.assert_walk_agrees(heap)
+        for kind, a, b in ops:
+            _apply(heap, kind, a, b)
+            self.assert_walk_agrees(heap)
+
+    @staticmethod
+    def assert_walk_agrees(heap: SimHeap) -> None:
+        metrics = snapshot(heap)
+        expected = walked(heap)
+        assert {field: getattr(metrics, field) for field in expected} == \
+            expected
 
 
 class TestDensityHistogram:

@@ -1,4 +1,4 @@
-"""Tests for counters, gauges, histograms and the event collector."""
+"""Tests for counters, gauges, histograms and the tape collector."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.obs.events import (
     Alloc,
     BudgetCharge,
     CompactionWindow,
-    EventBus,
     Free,
     Move,
     StageTransition,
@@ -19,6 +18,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     power_of_two_buckets,
 )
+from repro.obs.tape import EventTape
 
 
 class TestCounterGauge:
@@ -112,15 +112,16 @@ class TestMetricsRegistry:
 class TestMetricsCollector:
     def test_standard_set_from_event_stream(self):
         registry = MetricsRegistry()
-        bus = EventBus()
-        bus.subscribe(MetricsCollector(registry))
-        bus.emit(Alloc(object_id=1, size=4, address=0, latency_ns=600))
-        bus.emit(Alloc(object_id=2, size=8, address=4))
-        bus.emit(Move(object_id=1, size=4, old_address=0, new_address=16))
-        bus.emit(Free(object_id=1, size=4, address=16))
-        bus.emit(CompactionWindow(request_size=8, moves=1, moved_words=4))
-        bus.emit(StageTransition(program="p", stage="I", step=0))
-        bus.emit(BudgetCharge(reason="alloc", words=4, remaining=2.0))
+        tape = EventTape.from_events([
+            Alloc(object_id=1, size=4, address=0, latency_ns=600),
+            Alloc(object_id=2, size=8, address=4),
+            Move(object_id=1, size=4, old_address=0, new_address=16),
+            Free(object_id=1, size=4, address=16),
+            CompactionWindow(request_size=8, moves=1, moved_words=4),
+            StageTransition(program="p", stage="I", step=0),
+            BudgetCharge(reason="alloc", words=4, remaining=2.0),
+        ])
+        MetricsCollector(registry, tape).fold()
 
         assert registry.counter("events.alloc").value == 2
         assert registry.counter("events.free").value == 1

@@ -3,29 +3,27 @@
 import pytest
 
 from repro.heap.heap import SimHeap
-from repro.obs.events import Alloc, EventBus
+from repro.obs.events import EventBus
 from repro.obs.sampler import HeapSampler, SamplePoint
 
 
 def _emit(bus, count):
     for i in range(count):
-        bus.emit(Alloc(object_id=i, size=1, address=i))
+        bus.emit_alloc(object_id=i, size=1, address=i)
 
 
 class TestCadence:
     def test_samples_exactly_every_k_events(self):
         bus = EventBus()
-        sampler = HeapSampler(SimHeap(), every=4)
-        bus.subscribe(sampler)
+        sampler = HeapSampler(SimHeap(), every=4).attach(bus)
         _emit(bus, 10)
-        # deliveries 4 and 8 sample; 10 does not
+        # rows 4 and 8 sample; 10 does not
         assert sampler.events_seen == 10
         assert [point.event_index for point in sampler.samples] == [4, 8]
 
     def test_every_one_samples_each_event(self):
         bus = EventBus()
-        sampler = HeapSampler(SimHeap(), every=1)
-        bus.subscribe(sampler)
+        sampler = HeapSampler(SimHeap(), every=1).attach(bus)
         _emit(bus, 3)
         assert [point.event_index for point in sampler.samples] == [1, 2, 3]
         assert [point.seq for point in sampler.samples] == [0, 1, 2]

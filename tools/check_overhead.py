@@ -7,9 +7,10 @@ everywhere), with an :class:`repro.obs.events.EventBus` attached but
 event objects), with a *disabled* :class:`repro.obs.trace.Tracer`
 passed to the driver (collapses to the no-tracer fast path: one pointer
 comparison per operation), with a full
-:class:`repro.obs.telemetry.Telemetry` attached (metrics collector and
-heap sampler subscribed, so every event is also built as an object;
-the bus's tape is the run's record, as in ``run_recorded``), and with
+:class:`repro.obs.telemetry.Telemetry` attached (what a recorded run
+pays: tape rows, the heap sampler on the bus's row clock, timed
+allocations, and one read of ``telemetry.registry``, which folds the
+metrics from the tape's columns; no event object is built), and with
 the :class:`repro.check.Sanitizer` attached to the instrumented bus
 (its checkers make one pass each over the bus's tape at ``finish()``,
 which is timed with the run; it subscribes nothing) — and fails if
@@ -207,6 +208,7 @@ def _run_instrumented() -> float:
     telemetry.bind(driver)
     start = time.process_time()
     driver.run(program)
+    telemetry.registry.as_dict()  # the manifest metrics, folded from the tape
     return time.process_time() - start
 
 
