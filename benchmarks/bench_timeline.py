@@ -1,16 +1,17 @@
 """Waste over time: how each manager's heap grows under attack.
 
-Instruments three managers with the timeline sampler and drives P_F,
-then renders the waste-factor trajectories on one ASCII plot — the
-dynamic view behind the single end-of-run numbers the other benches
-report.  The compactors' curves flatten where they spend budget; the
+Records P_F against three managers through :class:`repro.obs.Telemetry`,
+whose heap sampler snapshots the heap every 256 event-tape rows, then
+renders the waste-factor trajectories on one ASCII plot — the dynamic
+view behind the single end-of-run numbers the other benches report.
+The compactors' curves flatten where they spend budget; the
 non-mover's climbs monotonically through both stages.
 """
 
-from repro.adversary import PFProgram, run_execution
+from repro.adversary import ExecutionDriver, PFProgram
 from repro.analysis import render_series
-from repro.analysis.timeline import InstrumentedManager
 from repro.mm.registry import create_manager
+from repro.obs import Telemetry
 
 MANAGERS = ("first-fit", "sliding-compactor", "theorem2")
 
@@ -18,12 +19,12 @@ MANAGERS = ("first-fit", "sliding-compactor", "theorem2")
 def _run_timelines(sim_params):
     series = {}
     for name in MANAGERS:
-        manager = InstrumentedManager(
-            create_manager(name, sim_params), every=256
-        )
-        run_execution(sim_params, PFProgram(sim_params), manager)
-        xs, ys = manager.timeline.series(sim_params.live_space)
-        series[name] = (xs, ys)
+        telemetry = Telemetry(sample_every=256)
+        driver = ExecutionDriver(sim_params, create_manager(name, sim_params),
+                                 observer=telemetry.bus)
+        telemetry.bind(driver)
+        driver.run(PFProgram(sim_params))
+        series[name] = telemetry.sampler.waste_series()
     return series
 
 

@@ -27,7 +27,6 @@ from .potential import PotentialObserver, potential, potential_twice
 from .replay import ReplayProgram, replay_against
 from .robson_program import RobsonEngine, RobsonProgram
 from .stats import LemmaLedger, LemmaReport
-from .trace import TraceEvent, TraceLog
 from .workloads import (
     BurstyWorkload,
     ExponentialChurnWorkload,
@@ -58,8 +57,6 @@ __all__ = [
     "RobsonEngine",
     "RobsonProgram",
     "SawtoothWorkload",
-    "TraceEvent",
-    "TraceLog",
     "WHOLE",
     "potential",
     "potential_twice",

@@ -49,10 +49,6 @@ class ProgramView:
         """De-allocate one of the program's live objects."""
         self._driver.program_free(object_id)
 
-    def mark(self, label: str) -> None:
-        """Insert an annotation into the trace (no-op without a trace)."""
-        self._driver.program_mark(label)
-
     # Observation -------------------------------------------------------------
 
     @property

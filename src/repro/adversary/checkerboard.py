@@ -44,7 +44,6 @@ class CheckerboardProgram(AdversaryProgram):
         size = self.start_size
         survivors: list[int] = []
         while size <= self.params.max_object:
-            view.mark(f"checkerboard round size={size}")
             # Fill the remaining live budget with `size`-word objects.
             batch: list[int] = []
             while view.live_words + size <= view.live_space_bound:

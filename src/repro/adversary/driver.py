@@ -32,7 +32,6 @@ from ..mm.budget import BudgetSnapshot, CompactionBudget
 from ..obs.events import EventBus
 from ..obs.trace import StageSpanSink, Tracer, active_tracer
 from .base import AdversaryProgram, ProgramMoveListener, ProgramView
-from .trace import TraceLog
 
 __all__ = ["ExecutionDriver", "ExecutionResult", "run_execution"]
 
@@ -54,7 +53,6 @@ class ExecutionResult:
     move_count: int
     budget: BudgetSnapshot
     metrics: HeapMetrics
-    trace: TraceLog | None = None
     #: Wall-clock duration of :meth:`ExecutionDriver.run`, in seconds.
     wall_seconds: float = 0.0
 
@@ -92,7 +90,6 @@ class ExecutionDriver:
         params: BoundParams,
         manager: MemoryManager,
         *,
-        record_trace: bool = False,
         paranoid: bool = False,
         budget: CompactionBudget | None = None,
         observer: EventBus | None = None,
@@ -133,7 +130,6 @@ class ExecutionDriver:
         if budget is not None and observer is not None \
                 and getattr(budget, "observer", None) is None:
             budget.observer = observer
-        self.trace: TraceLog | None = TraceLog() if record_trace else None
         #: Re-check full heap invariants after every event (slow; tests).
         self.paranoid = paranoid
         self.program_move_listener: ProgramMoveListener | None = None
@@ -206,8 +202,6 @@ class ExecutionDriver:
                 gaps_examined=search_stats.gaps_examined - gaps_before,
             )
             tracer.end(alloc_span)
-        if self.trace is not None:
-            self.trace.record_alloc(self.heap.clock, obj.object_id, size, address)
         if self.paranoid:
             self.heap.check_invariants()
             self.budget.check_invariant()
@@ -226,15 +220,8 @@ class ExecutionDriver:
             tracer.end(free_span)
         if self.observer is not None:
             self.observer.emit_free(object_id, obj.size, obj.address)
-        if self.trace is not None:
-            self.trace.record_free(self.heap.clock, object_id, obj.size, obj.address)
         if self.paranoid:
             self.heap.check_invariants()
-
-    def program_mark(self, label: str) -> None:
-        """Record a trace annotation."""
-        if self.trace is not None:
-            self.trace.record_mark(self.heap.clock, label)
 
     # Manager move notification ----------------------------------------------
 
@@ -247,10 +234,6 @@ class ExecutionDriver:
             # free (P_F's immediate-free rule) follows its move.
             self.observer.emit_move(obj.object_id, obj.size, old_address,
                                     new_address)
-        if self.trace is not None:
-            self.trace.record_move(
-                self.heap.clock, obj.object_id, obj.size, old_address, new_address
-            )
         if self.program_move_listener is not None:
             self.program_move_listener(obj, old_address, new_address)
 
@@ -305,7 +288,6 @@ class ExecutionDriver:
             move_count=self._moves,
             budget=self.budget.snapshot(),
             metrics=snapshot(self.heap),
-            trace=self.trace,
             wall_seconds=wall_seconds,
         )
 
@@ -315,7 +297,6 @@ def run_execution(
     program: AdversaryProgram,
     manager: MemoryManager,
     *,
-    record_trace: bool = False,
     paranoid: bool = False,
     budget: CompactionBudget | None = None,
     observer: EventBus | None = None,
@@ -324,7 +305,7 @@ def run_execution(
 ) -> ExecutionResult:
     """Convenience wrapper: build a driver, run, return the result."""
     driver = ExecutionDriver(
-        params, manager, record_trace=record_trace, paranoid=paranoid,
-        budget=budget, observer=observer, tracer=tracer, kernel=kernel,
+        params, manager, paranoid=paranoid, budget=budget,
+        observer=observer, tracer=tracer, kernel=kernel,
     )
     return driver.run(program)

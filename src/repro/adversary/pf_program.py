@@ -146,11 +146,9 @@ class PFProgram(AdversaryProgram):
         self.stage = 1
         engine = RobsonEngine(view, self.ghosts)
         self._engine = engine
-        view.mark("PF stage1 step=0")
         self._emit_stage("I", 0, "stage I begin")
         engine.initial_step()
         for i in range(1, self.density_exponent + 1):
-            view.mark(f"PF stage1 step={i}")
             self._emit_stage("I", i)
             engine.step(i)
             self._notify("on_stage1_step", i, engine.offset)
@@ -259,7 +257,6 @@ class PFProgram(AdversaryProgram):
         first_step = 2 * self.density_exponent
         last_step = self.params.log_n - 2
         for i in range(first_step, last_step + 1):
-            view.mark(f"PF stage2 step={i}")
             self._emit_stage(
                 "II", i, "stage I -> stage II" if i == first_step else "",
             )

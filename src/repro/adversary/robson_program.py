@@ -176,11 +176,9 @@ class RobsonProgram(AdversaryProgram):
             self.ghosts.record(obj)
 
         view.set_move_listener(on_move)
-        view.mark("robson step=0")
         self._emit_stage(0, "initial fill")
         engine.initial_step()
         for i in range(1, self.max_step + 1):
-            view.mark(f"robson step={i}")
             self._emit_stage(i)
             engine.step(i)
         view.set_move_listener(None)

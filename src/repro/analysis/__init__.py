@@ -24,7 +24,6 @@ from .figures import FigureData, figure1_series, figure2_series, figure3_series
 from .heapmap import density_bar, render_heap
 from .report import experiment_table, figure_table, format_table, to_csv
 from .sweep import SweepRow, simulation_sweep, sweep_to_csv, theory_sweep
-from .timeline import InstrumentedManager, Timeline, TimelineSample
 from .verification import CheckResult, verify_reproduction
 
 __all__ = [
@@ -32,10 +31,7 @@ __all__ = [
     "DEFAULT_ROBSON_MANAGERS",
     "ExperimentRow",
     "FigureData",
-    "InstrumentedManager",
     "SweepRow",
-    "Timeline",
-    "TimelineSample",
     "best_manager_against_pf",
     "CheckResult",
     "cheapest_window",

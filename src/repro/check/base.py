@@ -14,10 +14,11 @@ the columns a bus recorded (online, at the end of a ``--sanitize`` run)
 or a run directory stored (offline, ``repro check``) — in one pass,
 :meth:`Checker.check`, end-of-stream obligations included.  No event
 objects are built: a checker walks the rows of the kinds it reads
-(:func:`walk`), keeping exact running sums and shadow state, or hashes
-the columns (``determinism``).  Every divergence is recorded as a
-:class:`Violation` rather than raised — a sanitizer reports everything
-it finds, it does not stop at the first bad event.
+(:meth:`~repro.obs.tape.EventTape.walk`), keeping exact running sums
+and shadow state, or hashes the columns (``determinism``).  Every
+divergence is recorded as a :class:`Violation` rather than raised — a
+sanitizer reports everything it finds, it does not stop at the first
+bad event.
 
 :class:`CheckContext` carries the run's contract parameters (``M``,
 ``n``, ``c``...) — from :class:`~repro.core.params.BoundParams` online,
@@ -29,9 +30,8 @@ parameter-free checks).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.params import BoundParams
@@ -44,7 +44,6 @@ __all__ = [
     "CheckReport",
     "InvariantViolationError",
     "POWER_OF_TWO_PROGRAMS",
-    "walk",
 ]
 
 #: Program families whose allocation sizes the model restricts to powers
@@ -151,19 +150,6 @@ class CheckContext:
             manager=manager if isinstance(manager, str) else None,
             expected_digest=digest if isinstance(digest, str) else None,
         )
-
-
-def walk(tape: "EventTape", handlers: Mapping[int, Callable[..., None]]) -> None:
-    """Call ``handlers[code](seq, *fields)`` for each row of those kinds.
-
-    Rows come in ``seq`` order; ``fields`` are the row's event fields
-    in dataclass order (:meth:`~repro.obs.tape.EventTape.columns`).
-    Each kind's calls are one lazy ``map`` over its columns, advanced
-    once per row of that kind, so the loop itself runs in C.
-    """
-    calls = {code: map(handler, tape.seqs(code), *tape.columns(code))
-             for code, handler in handlers.items()}
-    deque(map(next, map(calls.__getitem__, tape.select(handlers))), maxlen=0)
 
 
 class Checker:

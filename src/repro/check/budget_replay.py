@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 from ..mm.budget import divisor_as_integer_ratio
 from ..obs.tape import ALLOC, CHARGE, MOVE
-from .base import CheckContext, Checker, walk
+from .base import CheckContext, Checker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.tape import EventTape
@@ -70,8 +70,8 @@ class BudgetReplayChecker(Checker):
         self._pending_move: deque[tuple[int, int]] = deque()
 
     def check(self, tape: "EventTape") -> None:
-        walk(tape, {CHARGE: self._on_charge, ALLOC: self._on_alloc,
-                    MOVE: self._on_move})
+        tape.walk({CHARGE: self._on_charge, ALLOC: self._on_alloc,
+                   MOVE: self._on_move})
         self._end_of_stream()
 
     # Exact inequality -------------------------------------------------------

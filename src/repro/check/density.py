@@ -43,7 +43,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..obs.tape import ALLOC, STAGE
-from .base import CheckContext, Checker, walk
+from .base import CheckContext, Checker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..adversary.pf_program import PFProgram
@@ -74,7 +74,7 @@ class DensityChecker(Checker):
 
     def check(self, tape: "EventTape") -> None:
         if self.context.program == _PF:
-            walk(tape, {STAGE: self._on_stage, ALLOC: self._on_alloc})
+            tape.walk({STAGE: self._on_stage, ALLOC: self._on_alloc})
         self._close_step()
 
     # Stage bookkeeping ------------------------------------------------------

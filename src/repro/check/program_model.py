@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..obs.tape import ALLOC, FREE, STAGE
-from .base import CheckContext, Checker, walk
+from .base import CheckContext, Checker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.tape import EventTape
@@ -61,8 +61,8 @@ class ProgramModelChecker(Checker):
         self._stage2_last_step = -1
 
     def check(self, tape: "EventTape") -> None:
-        walk(tape, {ALLOC: self._on_alloc, FREE: self._on_free,
-                    STAGE: self._on_stage})
+        tape.walk({ALLOC: self._on_alloc, FREE: self._on_free,
+                   STAGE: self._on_stage})
         self._end_of_stream()
 
     # Row handlers -----------------------------------------------------------

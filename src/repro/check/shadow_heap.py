@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 from ..heap.intervals import IntervalSet
 from ..obs.tape import ALLOC, FREE, MOVE, WINDOW
-from .base import CheckContext, Checker, walk
+from .base import CheckContext, Checker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.tape import EventTape
@@ -68,8 +68,8 @@ class ShadowHeapChecker(Checker):
         self._window_seen = False
 
     def check(self, tape: "EventTape") -> None:
-        walk(tape, {ALLOC: self._on_alloc, FREE: self._on_free,
-                    MOVE: self._on_move, WINDOW: self._on_window})
+        tape.walk({ALLOC: self._on_alloc, FREE: self._on_free,
+                   MOVE: self._on_move, WINDOW: self._on_window})
         self._end_of_stream()
 
     # Row handlers -----------------------------------------------------------

@@ -5,7 +5,7 @@ Commands:
 * ``bounds`` — best-known lower/upper bounds at a parameter point;
 * ``figure`` — regenerate a paper figure as an ASCII plot and table;
 * ``simulate`` — run one adversary/workload against one manager
-  (``--telemetry DIR`` records a manifest/JSONL run);
+  (``--telemetry DIR`` records a run: a manifest and its event tape);
 * ``experiment`` — run a (program × manager) grid against the bounds
   (``--telemetry DIR`` records every row; ``--jobs``/``--cache-dir``
   fan the grid over worker processes and a result cache);
@@ -17,11 +17,11 @@ Commands:
   stream through the paper-invariant checkers (``--replay`` also
   re-runs the configuration and compares stream digests);
 * ``report`` — render a recorded run directory (sparklines, the
-  replayed waste trajectory and the stage-transition table);
+  waste trajectory replayed from the event tape and the
+  stage-transition table);
 * ``trace`` — render or export a recorded span trace: Chrome
-  ``trace_event`` JSON (Perfetto), a self-time table, raw spans, or the
-  fragmentation timeline (``--timeline``); the ``--trace`` flag on
-  ``simulate``/``experiment``/``sweep`` records one;
+  ``trace_event`` JSON (Perfetto), a self-time table or raw spans; the
+  ``--trace`` flag on ``simulate``/``experiment``/``sweep`` records one;
 * ``staticcheck`` — whole-program static analysis of this repository
   (interprocedural float-taint into the budget code, determinism of
   digest-relevant code, plus the per-module lint rules);
@@ -279,9 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the document to FILE instead of stdout")
     trace.add_argument("--top", type=int, default=20, metavar="N",
                        help="span names shown in the tree table (default 20)")
-    trace.add_argument("--timeline", action="store_true",
-                       help="render the fragmentation timeline replayed "
-                            "from fine alloc/free spans instead")
 
     report = commands.add_parser(
         "report", help="render a recorded run directory"
@@ -554,7 +551,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     import json as json_mod
     from pathlib import Path
 
-    from .obs.profile import render_timeline, render_top
+    from .obs.profile import render_top
     from .obs.trace import read_trace, to_chrome_trace
 
     try:
@@ -566,19 +563,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print("error: trace is empty", file=sys.stderr)
         return 2
 
-    if args.timeline:
-        live_bound = None
-        base = Path(args.path)
-        manifest_dir = base if base.is_dir() else base.parent
-        try:
-            from .obs.export import load_manifest
-
-            manifest = load_manifest(manifest_dir)
-            live_bound = int(manifest["params"]["live_space"])
-        except (FileNotFoundError, ValueError, KeyError, TypeError):
-            pass  # timeline renders without the waste-factor rows
-        document = render_timeline(spans, live_bound=live_bound)
-    elif args.format == "chrome":
+    if args.format == "chrome":
         document = json_mod.dumps(to_chrome_trace(
             spans, trace_name=str(args.path)))
     elif args.format == "json":

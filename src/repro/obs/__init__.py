@@ -71,7 +71,7 @@ from .metrics import (
     power_of_two_buckets,
 )
 from .report import render_run, replay_waste_trajectory, sparkline, stage_rows
-from .profile import aggregate_spans, profile_block, render_timeline, render_top
+from .profile import aggregate_spans, profile_block, render_top
 from .sampler import HeapSampler, SamplePoint
 from .tape import EventTape
 from .telemetry import DEFAULT_SAMPLE_EVERY, Telemetry, run_recorded
@@ -129,7 +129,6 @@ __all__ = [
     "read_tape",
     "read_trace",
     "render_run",
-    "render_timeline",
     "render_top",
     "replay_waste_trajectory",
     "run_recorded",

@@ -197,7 +197,8 @@ class RunData:
     def events(self) -> list[TelemetryEvent]:
         """Every event as an object, built once from the tape on first use.
 
-        For reports and tests; the checkers read :attr:`tape` directly.
+        For tests; the checkers, ``repro report`` and replay read
+        :attr:`tape` directly.
         """
         if self._events is None:
             self._events = self.tape.events()

@@ -1,4 +1,4 @@
-"""Trace aggregation: self-time trees, manifest profile blocks, timelines.
+"""Trace aggregation: self-time trees and manifest profile blocks.
 
 Companion to :mod:`repro.obs.trace`: that module *records* spans, this
 one answers questions about them —
@@ -10,19 +10,15 @@ one answers questions about them —
 * :func:`profile_block` is the ``profile.*`` manifest block recorded
   next to the existing ``placement.*`` metrics: per-phase attribution a
   later reader can consume without the raw trace;
-* :func:`render_timeline` replays *fine* alloc/free spans into a heap
-  occupancy + waste-factor timeline over span time, rendered with the
-  same sparkline machinery ``repro report`` uses;
 * :func:`lane_wall_ns` sums per-lane busy time, the cross-check that a
   parallel sweep's per-task spans account for the engine's wall clock.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from .report import sparkline
 from .trace import Span
 
 __all__ = [
@@ -32,7 +28,6 @@ __all__ = [
     "profile_block",
     "lane_wall_ns",
     "task_span_total_ns",
-    "render_timeline",
 ]
 
 
@@ -172,95 +167,3 @@ def profile_block(spans: Sequence[Span], *, dropped: int = 0) -> dict[str, Any]:
                     for name, stats in sorted(aggregate_spans(closed).items())},
         "phases": phases,
     }
-
-
-# Fragmentation timeline -------------------------------------------------------
-
-
-@dataclass
-class _TimelinePoint:
-    """Heap state replayed at one fine-span boundary."""
-
-    t_ns: int
-    live_words: int
-    high_water: int
-
-
-@dataclass
-class _Timeline:
-    points: list[_TimelinePoint] = field(default_factory=list)
-
-
-def _replay_fine_spans(spans: Sequence[Span]) -> _Timeline:
-    """Replay ``alloc``/``free`` fine spans into occupancy over time."""
-    timeline = _Timeline()
-    live = 0
-    high_water = 0
-    moments = []
-    for span in spans:
-        if span.name not in ("alloc", "free") or not span.attrs:
-            continue
-        size = span.attrs.get("size")
-        if size is None:
-            continue
-        moments.append((span.start_ns, span.name, int(size),
-                        span.attrs.get("address")))
-    moments.sort(key=lambda m: m[0])
-    for t_ns, kind, size, address in moments:
-        if kind == "alloc":
-            live += size
-            if address is not None:
-                high_water = max(high_water, int(address) + size)
-        else:
-            live -= size
-        timeline.points.append(_TimelinePoint(t_ns, live, high_water))
-    return timeline
-
-
-def render_timeline(spans: Sequence[Span], *, live_bound: int | None = None,
-                    width: int = 60) -> str:
-    """The fragmentation timeline: occupancy and waste over span time.
-
-    Needs a *fine* trace (per-alloc/free spans carrying ``size`` and
-    ``address`` attributes); coarse traces degrade to an explanatory
-    message rather than raising, so ``repro trace --timeline`` is safe
-    on any trace file.
-    """
-    timeline = _replay_fine_spans(spans)
-    points = timeline.points
-    if not points:
-        return ("timeline: no fine alloc/free spans in this trace "
-                "(record with fine tracing, e.g. `repro simulate --trace`)")
-    t0, t1 = points[0].t_ns, points[-1].t_ns
-    span_ms = (t1 - t0) / 1e6  # lint: float-ok
-    live = [float(p.live_words) for p in points]
-    hw = [float(p.high_water) for p in points]
-    lines = [
-        f"fragmentation timeline ({len(points)} heap events over "
-        f"{span_ms:.2f} ms):",
-        f"  live words   [{min(live):.0f}..{max(live):.0f}] "
-        + sparkline(live, width=width),
-        f"  high water   [{min(hw):.0f}..{max(hw):.0f}] "
-        + sparkline(hw, width=width),
-    ]
-    if live_bound:
-        waste = [p.high_water / live_bound for p in points]  # lint: float-ok
-        occupancy = [p.live_words / live_bound for p in points]  # lint: float-ok
-        lines.append(
-            f"  waste HS/M   [{min(waste):.3f}..{max(waste):.3f}] "
-            + sparkline(waste, width=width)
-        )
-        lines.append(
-            f"  occupancy    [{min(occupancy):.3f}..{max(occupancy):.3f}] "
-            + sparkline(occupancy, width=width)
-        )
-    stage_spans = [span for span in spans if span.name.startswith("stage:")]
-    if stage_spans:
-        lines.append("  stages:")
-        for span in sorted(stage_spans, key=lambda s: s.start_ns):
-            offset_ms = (span.start_ns - t0) / 1e6  # lint: float-ok
-            lines.append(
-                f"    +{offset_ms:9.2f} ms  {span.name} "
-                f"({span.duration_ns / 1e6:.2f} ms)"  # lint: float-ok
-            )
-    return "\n".join(lines)

@@ -1,25 +1,27 @@
 """Run-report rendering: ``repro report <dir>`` lives here.
 
-Given a recorded run (the manifest/JSONL pair of
+Given a recorded run (a manifest and its event tape, see
 :mod:`repro.obs.export`), renders a terminal summary: the headline
 numbers, unicode sparklines for the sampled series, the reconstructed
 waste-factor trajectory, and the per-stage progression table with every
 :class:`~repro.obs.events.StageTransition` marker — the Stage I →
 Stage II hand-off of :math:`P_F` included.
 
-The trajectory is *reconstructed from the event stream* rather than the
-sampled series: ``Alloc``/``Move`` events carry addresses, so the
-high-water mark and live-word count can be replayed exactly, giving the
-report event-granular waste numbers at each stage boundary even when the
-sampler ran at a coarse cadence.
+The trajectory is *reconstructed from the tape* rather than the sampled
+series: ``alloc`` and ``move`` rows carry addresses, so the high-water
+mark and live-word count can be replayed exactly, giving the report
+event-granular waste numbers at each stage boundary even when the
+sampler ran at a coarse cadence.  Trajectory and stage table come from
+one pass over the tape's columns (:meth:`~repro.obs.tape.EventTape.walk`),
+which builds no event object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .events import Alloc, Free, Move, StageTransition, TelemetryEvent
 from .export import RunData
+from .tape import ALLOC, FREE, MOVE, STAGE, EventTape
 
 __all__ = [
     "sparkline",
@@ -69,40 +71,6 @@ class TrajectoryPoint:
     live_words: int
 
 
-def replay_waste_trajectory(
-    events: list[TelemetryEvent], *, every: int = 1
-) -> list[TrajectoryPoint]:
-    """Replay alloc/free/move events into a high-water/live trajectory.
-
-    ``every`` thins the output (a point per ``every`` heap events); the
-    final state is always included.
-    """
-    if every < 1:
-        raise ValueError("every must be positive")
-    points: list[TrajectoryPoint] = []
-    high_water = 0
-    live = 0
-    seen = 0
-    last: TrajectoryPoint | None = None
-    for event in events:
-        if isinstance(event, Alloc):
-            live += event.size
-            high_water = max(high_water, event.address + event.size)
-        elif isinstance(event, Free):
-            live -= event.size
-        elif isinstance(event, Move):
-            high_water = max(high_water, event.new_address + event.size)
-        else:
-            continue
-        seen += 1
-        last = TrajectoryPoint(event.seq, high_water, live)
-        if seen % every == 0:
-            points.append(last)
-    if last is not None and (not points or points[-1] is not last):
-        points.append(last)
-    return points
-
-
 @dataclass(frozen=True)
 class StageRow:
     """One stage boundary with the replayed waste level at that instant."""
@@ -120,32 +88,46 @@ class StageRow:
         return self.high_water / live_bound
 
 
-def stage_rows(events: list[TelemetryEvent]) -> list[StageRow]:
-    """Every stage transition, annotated with the replayed heap state."""
+def _replay(tape: EventTape) -> tuple[list[TrajectoryPoint], list[StageRow]]:
+    """The trajectory (a point per alloc/free/move row) and the stage
+    rows, from one pass over the tape."""
+    points: list[TrajectoryPoint] = []
     rows: list[StageRow] = []
-    high_water = 0
-    live = 0
-    for event in events:
-        if isinstance(event, Alloc):
-            live += event.size
-            high_water = max(high_water, event.address + event.size)
-        elif isinstance(event, Free):
-            live -= event.size
-        elif isinstance(event, Move):
-            high_water = max(high_water, event.new_address + event.size)
-        elif isinstance(event, StageTransition):
-            rows.append(
-                StageRow(
-                    program=event.program,
-                    stage=event.stage,
-                    step=event.step,
-                    label=event.label,
-                    seq=event.seq,
-                    high_water=high_water,
-                    live_words=live,
-                )
-            )
-    return rows
+    high_water = live = 0
+
+    def on_alloc(seq, object_id, size, address, latency_ns):
+        nonlocal high_water, live
+        live += size
+        high_water = max(high_water, address + size)
+        points.append(TrajectoryPoint(seq, high_water, live))
+
+    def on_free(seq, object_id, size, address):
+        nonlocal live
+        live -= size
+        points.append(TrajectoryPoint(seq, high_water, live))
+
+    def on_move(seq, object_id, size, old_address, new_address):
+        nonlocal high_water
+        high_water = max(high_water, new_address + size)
+        points.append(TrajectoryPoint(seq, high_water, live))
+
+    def on_stage(seq, program, stage, step, label):
+        rows.append(StageRow(program, stage, step, label, seq, high_water,
+                             live))
+
+    tape.walk({ALLOC: on_alloc, FREE: on_free, MOVE: on_move,
+               STAGE: on_stage})
+    return points, rows
+
+
+def replay_waste_trajectory(tape: EventTape) -> list[TrajectoryPoint]:
+    """Replay alloc/free/move rows into a high-water/live trajectory."""
+    return _replay(tape)[0]
+
+
+def stage_rows(tape: EventTape) -> list[StageRow]:
+    """Every stage transition, annotated with the replayed heap state."""
+    return _replay(tape)[1]
 
 
 def _format_stage_table(rows: list[StageRow], live_bound: int) -> str:
@@ -296,8 +278,7 @@ def render_run(run: RunData, *, width: int = 60, plot: bool = True) -> str:
             + sparkline(budget, width=width)
         )
 
-    trajectory = replay_waste_trajectory(run.events, every=1)
-    rows = stage_rows(run.events)
+    trajectory, rows = _replay(run.tape)
     if trajectory and plot:
         from ..analysis.ascii_plot import render_series  # avoid import cycle
 
@@ -318,7 +299,7 @@ def render_run(run: RunData, *, width: int = 60, plot: bool = True) -> str:
         lines.append("")
         lines.append("stage progression:")
         lines.append(_format_stage_table(rows, bound))
-    elif run.events:
+    elif len(run.tape):
         lines.append("")
         lines.append("stage progression: (no stage transitions recorded)")
     else:

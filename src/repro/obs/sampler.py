@@ -5,8 +5,9 @@ row clock (:attr:`~repro.obs.events.EventBus.on_row`) and, exactly
 every ``every`` recorded rows, captures a :class:`SamplePoint` — the
 live/high-water/fragmentation state from
 :func:`repro.heap.metrics.snapshot` (O(1)) plus the budget ledger's
-remaining words.  The resulting series is what ``repro report`` and
-:mod:`repro.analysis.timeline` render as "waste over time".
+remaining words.  The resulting series is the manifest's ``samples``
+block, which ``repro report`` renders as sparklines next to the
+trajectory it replays from the tape.
 
 The clock ticks once per tape row, so moves, budget charges and stage
 transitions advance it too: the cadence is defined over the unified
@@ -129,12 +130,6 @@ class HeapSampler:
         return point
 
     # Series accessors --------------------------------------------------------
-
-    def series(self, field: str) -> tuple[list[int], list[float]]:
-        """(event indices, values of ``field``) over all samples."""
-        xs = [point.event_index for point in self.samples]
-        ys = [float(getattr(point, field)) for point in self.samples]
-        return xs, ys
 
     def waste_series(self) -> tuple[list[int], list[float]]:
         """(event indices, HS/M) — requires ``live_bound`` to be set."""

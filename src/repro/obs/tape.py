@@ -38,11 +38,12 @@ trailing bytes.  :meth:`EventTape.read_jsonl` reads a legacy
 exactly its event's keys, integers are JSON integers, ``remaining`` a
 JSON float, strings strings, and ``seq`` the row index.
 
-**Reading rows.**  The checkers read the columns, not event objects:
-:meth:`EventTape.columns` gives one kind's fields as columns,
-:meth:`EventTape.seqs` its row indices and :meth:`EventTape.select`
-the kind codes of the rows of some kinds, in row order.
-:meth:`EventTape.events` builds the event objects, for reports and
+**Reading rows.**  The checkers, ``repro report`` and trace replay
+read the columns, not event objects: :meth:`EventTape.columns` gives
+one kind's fields as columns, :meth:`EventTape.seqs` its row indices
+and :meth:`EventTape.select` the kind codes of the rows of some kinds,
+in row order; :meth:`EventTape.walk` drives one handler per kind over
+those rows.  :meth:`EventTape.events` builds the event objects, for
 tests.
 """
 
@@ -52,12 +53,13 @@ import json
 import os
 import sys
 from array import array
+from collections import deque
 from dataclasses import fields
 from itertools import compress
 from math import isfinite
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .events import (
     Alloc,
@@ -319,6 +321,19 @@ class EventTape:
         if code == CHARGE:
             columns.append(self._remaining[start:])
         return columns
+
+    def walk(self, handlers: Mapping[int, Callable[..., None]]) -> None:
+        """Call ``handlers[code](seq, *fields)`` for each row of those kinds.
+
+        Rows come in ``seq`` order; ``fields`` are the row's event fields
+        in dataclass order (:meth:`columns`).  Each kind's calls are one
+        lazy ``map`` over its columns, advanced once per row of that
+        kind, so the loop itself runs in C.
+        """
+        calls = {code: map(handler, self.seqs(code), *self.columns(code))
+                 for code, handler in handlers.items()}
+        deque(map(next, map(calls.__getitem__, self.select(handlers))),
+              maxlen=0)
 
     def events(self) -> list[TelemetryEvent]:
         """Every row as an event object, ``seq`` stamped."""

@@ -157,7 +157,6 @@ def run_recorded(
     directory: Union[str, Path],
     *,
     sample_every: int = DEFAULT_SAMPLE_EVERY,
-    record_trace: bool = False,
     paranoid: bool = False,
     budget=None,
     extra_config: dict | None = None,
@@ -202,7 +201,6 @@ def run_recorded(
     driver = ExecutionDriver(
         params,
         manager,
-        record_trace=record_trace,
         paranoid=paranoid,
         budget=budget,
         observer=telemetry.bus,
@@ -224,8 +222,8 @@ def run_recorded(
     tape = telemetry.bus.tape
     tape.write(target / EVENTS_FILENAME)
     budget_snapshot = result.budget
-    config = {"sample_every": sample_every, "record_trace": record_trace,
-              "paranoid": paranoid, "trace": live_tracer is not None,
+    config = {"sample_every": sample_every, "paranoid": paranoid,
+              "trace": live_tracer is not None,
               "trace_fine": live_tracer is not None and live_tracer.fine,
               "kernel": driver.kernel_name}
     if extra_config:

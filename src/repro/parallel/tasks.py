@@ -163,7 +163,7 @@ class TaskResult:
         return self.heap_size / self.task.live_space
 
     def to_execution_result(self) -> ExecutionResult:
-        """Rebuild a faithful :class:`ExecutionResult` (trace-less)."""
+        """Rebuild a faithful :class:`ExecutionResult`."""
         return ExecutionResult(
             params=self.task.params,
             program_name=self.program_name,
@@ -178,7 +178,6 @@ class TaskResult:
             move_count=self.move_count,
             budget=BudgetSnapshot(**self.budget),
             metrics=HeapMetrics(**self.metrics),
-            trace=None,
             wall_seconds=self.wall_seconds,
         )
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.adversary.base import AdversaryProgram, ProgramView
 from repro.adversary.driver import ExecutionDriver, run_execution
+from repro.adversary.replay import ReplayProgram
 from repro.core.params import BoundParams
 from repro.heap.errors import (
     CompactionBudgetExceeded,
@@ -12,6 +13,8 @@ from repro.heap.errors import (
 )
 from repro.mm.base import MemoryManager
 from repro.mm.fits import FirstFitManager
+from repro.obs.events import EventBus
+from repro.obs.tape import ALLOC, FREE
 
 
 class ScriptProgram(AdversaryProgram):
@@ -130,18 +133,18 @@ class TestMeasurement:
         assert "HS=64" in result.summary()
 
     def test_trace_recording(self):
-        result = run_execution(
+        bus = EventBus()
+        run_execution(
             BoundParams(64, 16, 4.0),
             ScriptProgram(
                 lambda view: view.free(view.allocate(8).object_id)
             ),
             FirstFitManager(),
-            record_trace=True,
+            observer=bus,
         )
-        assert result.trace is not None
-        kinds = [event.kind for event in result.trace]
-        assert kinds == ["alloc", "free"]
-        assert list(result.trace.replay_requests()) == [("alloc", 8), ("free", 0)]
+        assert list(bus.tape.select((ALLOC, FREE))) == [ALLOC, FREE]
+        assert ReplayProgram(bus.tape).requests == [(ALLOC, 0, 8),
+                                                    (FREE, 0, 8)]
 
     def test_paranoid_mode(self):
         result = run_execution(
@@ -171,14 +174,3 @@ class TestMeasurement:
             "live": 8, "bound": 64, "n": 16, "addr": 0,
             "is_live": True, "after": False,
         }
-
-    def test_mark_requires_trace(self):
-        result = run_execution(
-            BoundParams(64, 16, 4.0),
-            ScriptProgram(lambda view: view.mark("hello")),
-            FirstFitManager(),
-            record_trace=True,
-        )
-        assert result.trace is not None
-        marks = result.trace.of_kind("mark")
-        assert len(marks) == 1 and marks[0].label == "hello"

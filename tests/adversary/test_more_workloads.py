@@ -9,6 +9,8 @@ from repro.adversary import (
 )
 from repro.core.params import BoundParams
 from repro.mm.registry import create_manager
+from repro.obs.events import EventBus
+from repro.obs.tape import ALLOC
 
 
 PARAMS = BoundParams(2048, 64, 10.0)
@@ -28,16 +30,13 @@ class TestExponentialChurn:
         workload = ExponentialChurnWorkload(
             PARAMS, operations=800, mean_size=4.0
         )
-        result = run_execution(
+        bus = EventBus()
+        run_execution(
             PARAMS, workload, create_manager("first-fit", PARAMS),
-            record_trace=True,
+            observer=bus,
         )
-        assert result.trace is not None
-        sizes = [
-            value for kind, value in result.trace.replay_requests()
-            if kind == "alloc"
-        ]
-        assert sizes
+        sizes = bus.tape.columns(ALLOC)[1]
+        assert len(sizes) > 0
         small = sum(1 for size in sizes if size <= 8)
         assert small / len(sizes) > 0.5
 
@@ -77,14 +76,14 @@ class TestBursty:
 
     def test_power_of_two_sizes_only(self):
         workload = BurstyWorkload(PARAMS, bursts=4)
-        result = run_execution(
-            PARAMS, workload, create_manager("buddy", PARAMS),
-            record_trace=True,
+        bus = EventBus()
+        run_execution(
+            PARAMS, workload, create_manager("buddy", PARAMS), observer=bus
         )
-        assert result.trace is not None
-        for kind, value in result.trace.replay_requests():
-            if kind == "alloc":
-                assert value & (value - 1) == 0
+        sizes = bus.tape.columns(ALLOC)[1]
+        assert len(sizes) > 0
+        for value in sizes:
+            assert value & (value - 1) == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):

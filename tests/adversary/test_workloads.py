@@ -10,6 +10,8 @@ from repro.adversary.workloads import (
 )
 from repro.core.params import BoundParams
 from repro.mm.registry import create_manager
+from repro.obs.events import EventBus
+from repro.obs.tape import ALLOC
 
 
 def params_with_c() -> BoundParams:
@@ -40,14 +42,15 @@ class TestRandomChurn:
     def test_powers_of_two_mode(self):
         params = params_with_c()
         workload = RandomChurnWorkload(params, operations=300, powers_of_two=True)
-        result = run_execution(
-            params, workload, create_manager("buddy", params), record_trace=True
+        bus = EventBus()
+        run_execution(
+            params, workload, create_manager("buddy", params), observer=bus
         )
-        assert result.trace is not None
-        for kind, value in result.trace.replay_requests():
-            if kind == "alloc":
-                assert value & (value - 1) == 0  # power of two
-                assert value <= params.max_object
+        sizes = bus.tape.columns(ALLOC)[1]
+        assert len(sizes) > 0
+        for value in sizes:
+            assert value & (value - 1) == 0  # power of two
+            assert value <= params.max_object
 
     def test_validation(self):
         params = params_with_c()

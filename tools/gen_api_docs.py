@@ -28,9 +28,9 @@ MODULES = [
     "repro.adversary.potential", "repro.adversary.stats",
     "repro.adversary.claims", "repro.adversary.checkerboard",
     "repro.adversary.workloads", "repro.adversary.replay",
-    "repro.adversary.trace", "repro.adversary.catalog",
+    "repro.adversary.catalog",
     "repro.analysis", "repro.analysis.figures", "repro.analysis.experiments",
-    "repro.analysis.sweep", "repro.analysis.timeline",
+    "repro.analysis.sweep",
     "repro.analysis.report", "repro.analysis.ascii_plot",
     "repro.analysis.heapmap",
     "repro.exact", "repro.exact.game", "repro.exact.strategy",
