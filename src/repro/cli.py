@@ -27,8 +27,8 @@ Commands:
   digest-relevant code, plus the per-module lint rules);
 * ``exact`` — solve the micro-heap game exactly (optionally budgeted);
 * ``solve`` — the scaled exact solver with probe detail: canonical
-  orbits, transposition tables, bracketed search, ``--jobs`` frontier
-  fan-out, result caching and ``solver.*`` manifest counters;
+  orbits, transposition tables, bracketed search, per-phase timings,
+  result caching and ``solver.*`` manifest counters;
 * ``absolute`` — the Theorem-1 corollary for B-bounded managers;
 * ``verify`` — re-run every reproduction check in one pass;
 * ``managers`` / ``programs`` — list what is available.
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = commands.add_parser(
         "solve",
         help="scaled exact-game solver (canonical orbits, transposition "
-             "tables, bracketed search, parallel frontier)",
+             "tables, bracketed search)",
     )
     solve.add_argument("--live", type=int, default=8,
                        help="live-space bound M in words (default 8)")
@@ -338,9 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="auto",
                        help="heap-size search strategy (default auto: "
                             "formula-seeded bracket)")
-    solve.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes for frontier expansion "
-                            "(default 1; 0 = all available cores)")
     solve.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="on-disk result cache; repeated solves replay "
                             "the stored value")
@@ -822,7 +819,6 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     from .parallel.cache import RESULT_FILENAME, ResultCache
-    from .parallel.engine import default_jobs
     from .parallel.tasks import (
         SolveResult,
         SolveTask,
@@ -830,7 +826,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         run_solve_task,
     )
 
-    jobs = args.jobs if args.jobs > 0 else default_jobs()
     task = SolveTask(
         live_bound=args.live,
         max_object=args.object,
@@ -841,7 +836,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
              if args.cache_dir is not None else None)
     result = cache.get(task) if cache is not None else None
     if result is None:
-        result = run_solve_task(task, jobs=jobs, search=args.search)
+        result = run_solve_task(task, search=args.search)
         if cache is not None:
             entry = cache.entry_dir(task)
             entry.mkdir(parents=True, exist_ok=True)
@@ -853,7 +848,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     family = f"sizes 1..{args.object}" if args.all_sizes else "P2 sizes"
     budget_note = (f", B={args.budget}" if args.budget is not None else "")
-    source = "cache" if result.from_cache else f"solved, jobs={jobs}"
+    source = "cache" if result.from_cache else "solved"
     print(f"exact minimum heap for M={args.live}, n={args.object}"
           f"{budget_note} ({family}): {result.minimum_heap_words} words "
           f"[{source}, {result.wall_seconds:.3f}s]")
@@ -865,13 +860,19 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"orbits visited: {result.event_count}")
     if args.stats:
         for stats in result.stats:
+            # Cache entries written before the per-phase timings lack them.
+            phases = "".join(
+                f" {phase}={stats[f'{phase}_s']}s"
+                for phase in ("explore", "attractor", "harvest")
+                if f"{phase}_s" in stats
+            )
             print(
                 f"  H={stats['heap_words']}: orbits={stats['orbits_visited']}"
                 f" edges={stats['edges']} epochs={stats['epochs']}"
                 f" peak_frontier={stats['peak_frontier']}"
                 f" tt_safe={stats['tt_safe_hits']}"
                 f" tt_win={stats['tt_win_hits']}"
-                f" wall={stats['wall_seconds']}s"
+                f" wall={stats['wall_seconds']}s{phases}"
             )
     if args.record is not None:
         from .obs.export import build_manifest, write_manifest
@@ -885,8 +886,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             manager="game-solver",
             params={"live_space": args.live, "max_object": args.object,
                     "compaction_divisor": None},
-            config={"task": task.to_dict(), "search": args.search,
-                    "jobs": jobs},
+            config={"task": task.to_dict(), "search": args.search},
             result={"minimum_heap_words": result.minimum_heap_words,
                     "probes": [list(pair) for pair in result.probes],
                     "from_cache": result.from_cache},

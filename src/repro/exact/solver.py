@@ -16,9 +16,11 @@ module's docstring.
 ``state_code << 7 | tag`` with tag ``0`` for program nodes and
 ``64 | size`` for manager nodes (budgeted games splice a 7-bit budget
 between state and tag).  Adjacency is two flat ``array('q')`` edge
-lists; the attractor runs over a reverse CSR built by one stable
-counting sort (numpy-accelerated when available, bit-identical without
-it).  No per-node tuples or sets survive exploration.
+lists; the attractor runs over a reverse CSR, two more ``array('q')``
+columns built by one stable counting sort (numpy-accelerated when
+available, bit-identical without it).  Each column is released once it
+has been read: the edge lists as soon as the CSR exists, the CSR before
+the harvest.  No per-node tuples or sets survive exploration.
 
 **Transposition tables.**  Verdicts transfer across heap sizes: a
 state the manager can hold at ``H`` words is safe in any larger heap
@@ -39,12 +41,15 @@ transposition tables.  The seeded-region idea from the roadmap is
 realized by these tables: safe regions flow up the walk, winning
 regions flow down.
 
-**Parallel frontier.**  Exploration is level-synchronous BFS; each
-epoch's frontier can be sharded by a mix of the canonical code and
-fanned out through :meth:`repro.parallel.engine.ParallelEngine.map`.
-Workers only *generate* successor candidates; the parent consumes them
-in frontier order, so interning, pruning and truncation decisions are
-taken identically at every ``--jobs`` value.
+**One explorer.**  Exploration is level-synchronous BFS in one fused
+generate-and-consume loop: every child encoding is a chunk splice on
+the parent's packed code and its mirror, consumed as soon as it is
+made, so a node that resolves stops generating.  Budgeted games run
+the same loop with the budget in the key's middle bits; a manager
+node's moves (a cold path over decoded tuples) are consumed before its
+placements.  :class:`SolveStats` times three phases — explore (expansion
+and discovery interleave per candidate), attractor (reverse CSR plus
+attractor) and harvest — outside every digest.
 """
 
 from __future__ import annotations
@@ -53,19 +58,16 @@ import time
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .canonical import (
     ADDRESS_BITS,
     SEGMENT_BITS,
     check_heap_words,
+    decode_state,
     encode_mirror,
     encode_state,
 )
 from .game import State
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..parallel.engine import ParallelEngine
 
 __all__ = [
     "GameSolver",
@@ -125,137 +127,39 @@ def formula_guess(live_bound: int, max_object: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Successor generation (shared by the serial path and pool workers)
+# Budgeted moves (the explorer's cold path)
 # ---------------------------------------------------------------------------
 
-def _node_candidates(
-    key: int,
-    alt_scode: int,
-    heap_words: int,
-    live_bound: int,
-    sizes: tuple[int, ...],
-    move_budget: int | None,
-) -> list[int]:
-    """Successor candidates of one canonical node, deterministic order.
+def _move_children(
+    code: int, heap_words: int, budget: int, size: int, state_shift: int
+) -> list[tuple[int, int]]:
+    """Every relocation a manager node can pay for before it answers.
 
-    ``alt_scode`` is the encoding of the node's *other* orientation
-    (its mirror; equal to the canonical code for palindromes) — with
-    both orientations of the parent in hand, every child encoding is a
-    chunk splice on the parent's packed integers, so the hot path
-    builds no intermediate tuples and never re-encodes a state.
-
-    Returns a flat list alternating ``successor_key,
-    other_orientation_state_code`` (flat to spare a tuple allocation
-    per successor).  Pure function of its arguments, so pool workers
-    and the in-process path are interchangeable; duplicates are *not*
-    removed here (the parent dedupes while interning).
+    ``(child_key, other_orientation_code)`` per move, in candidate
+    order: segments by address, then target addresses ascending.  A
+    move keeps the turn (the child is the same ``size`` request) and
+    spends the moved size from the budget.  Cold path — budgeted games
+    are small — so plain tuples.
     """
-    if move_budget is None:
-        state_shift = TAG_BITS
-        mid_bits = 0
-    else:
-        state_shift = TAG_BITS + BUDGET_BITS
-        mid_bits = key & (MAX_MOVE_BUDGET << TAG_BITS)
-    tag = key & (Q_FLAG | SIZE_MASK)
-    code = key >> state_shift
-    mirror = alt_scode
-    chunk_bits = SEGMENT_BITS
-    addr_bits = ADDRESS_BITS
-    rep_addr: list[int] = []
-    rep_size: list[int] = []
-    remaining = code
-    while remaining:
-        chunk = remaining & _CHUNK_MASK
-        rep_addr.append(chunk >> addr_bits)
-        rep_size.append(chunk & SIZE_MASK)
-        remaining >>= chunk_bits
-    count = len(rep_addr)
-    out: list[int] = []
-    append = out.append
-    if not tag & Q_FLAG:
-        # Program node: frees keep the turn, requests hand it over.
-        # Freeing segment ``j`` drops chunk ``j`` of the code and chunk
-        # ``count-1-j`` of the mirror code (mirror chunks are reversed).
-        top = (count - 1) * chunk_bits
-        for j in range(count):
-            low = j * chunk_bits
-            cc = (code & ((1 << low) - 1)) | (
-                (code >> (low + chunk_bits)) << low
-            )
-            high = top - low
-            mm = (mirror & ((1 << high) - 1)) | (
-                (mirror >> (high + chunk_bits)) << high
-            )
-            if cc <= mm:
-                append((cc << state_shift) | mid_bits)
-                append(mm)
-            else:
-                append((mm << state_shift) | mid_bits)
-                append(cc)
-        live = sum(rep_size)
-        base = (code << state_shift) | mid_bits | Q_FLAG
-        for size in sizes:
-            if live + size <= live_bound:
-                append(base | size)
-                append(mirror)
-        return out
-    size = tag & SIZE_MASK
-    if move_budget is not None:
-        budget = (key >> TAG_BITS) & MAX_MOVE_BUDGET
-        # Moves (stay on turn, spend the moved size from the budget).
-        # Cold path — budgeted games are small — so plain tuples.
-        rep = tuple(zip(rep_addr, rep_size))
-        for index, (seg_address, seg_size) in enumerate(rep):
-            if seg_size > budget:
+    rep = decode_state(code)
+    children = []
+    for index, (seg_address, seg_size) in enumerate(rep):
+        if seg_size > budget:
+            continue
+        rest = rep[:index] + rep[index + 1:]
+        tag = ((budget - seg_size) << TAG_BITS) | Q_FLAG | size
+        for target in range(heap_words - seg_size + 1):
+            if target == seg_address:
                 continue
-            rest = rep[:index] + rep[index + 1:]
-            child_mid = (budget - seg_size) << TAG_BITS
-            for target in range(heap_words - seg_size + 1):
-                if target == seg_address:
-                    continue
-                if not _fits_sorted(rest, target, seg_size):
-                    continue
-                moved = _insert_sorted(rest, target, seg_size)
-                cc = encode_state(moved)
-                mm = encode_mirror(moved, heap_words)
-                if cc > mm:
-                    cc, mm = mm, cc
-                append((cc << state_shift) | child_mid | Q_FLAG | size)
-                append(mm)
-    # Placements (answer the request, yield the turn).  Walk the free
-    # gaps of the sorted representative, addresses ascending; placing
-    # at rep position ``i`` splices a chunk into the code at position
-    # ``i`` and into the mirror code at position ``count - i``.
-    chunk_base = size  # (address << ADDRESS_BITS) | size, address = 0
-    mirror_base = ((heap_words - size) << addr_bits) | size
-    previous_end = 0
-    position = 0
-    while True:
-        if position < count:
-            gap_limit = rep_addr[position] - size
-        else:
-            gap_limit = heap_words - size
-        if gap_limit >= previous_end:
-            low = position * chunk_bits
-            code_low = code & ((1 << low) - 1)
-            code_high = (code >> low) << (low + chunk_bits)
-            high = (count - position) * chunk_bits
-            mirror_low = mirror & ((1 << high) - 1)
-            mirror_high = (mirror >> high) << (high + chunk_bits)
-            for address in range(previous_end, gap_limit + 1):
-                offset = address << addr_bits
-                cc = code_low | ((chunk_base + offset) << low) | code_high
-                mm = (mirror_low | ((mirror_base - offset) << high)
-                      | mirror_high)
-                if cc > mm:
-                    cc, mm = mm, cc
-                append((cc << state_shift) | mid_bits)
-                append(mm)
-        if position == count:
-            break
-        previous_end = rep_addr[position] + rep_size[position]
-        position += 1
-    return out
+            if not _fits_sorted(rest, target, seg_size):
+                continue
+            moved = _insert_sorted(rest, target, seg_size)
+            cc = encode_state(moved)
+            mm = encode_mirror(moved, heap_words)
+            if cc > mm:
+                cc, mm = mm, cc
+            children.append(((cc << state_shift) | tag, mm))
+    return children
 
 
 def _fits_sorted(state: State, address: int, size: int) -> bool:
@@ -276,31 +180,6 @@ def _insert_sorted(state: State, address: int, size: int) -> State:
         if seg_address > address:
             return state[:index] + ((address, size),) + state[index:]
     return state + ((address, size),)
-
-
-def _expand_shard(
-    payload: tuple[
-        int | None, int, int, tuple[int, ...],
-        tuple[tuple[int, int], ...],
-    ],
-) -> list[tuple[int, list[int]]]:
-    """Pool worker: candidate lists for one frontier shard.
-
-    Workers generate; the parent decides.  Everything returned is a
-    pure function of the node key and the game parameters, so the
-    merge is deterministic regardless of worker scheduling.
-    """
-    move_budget, heap_words, live_bound, sizes, nodes = payload
-    return [
-        (key, _node_candidates(key, alt, heap_words, live_bound, sizes,
-                               move_budget))
-        for key, alt in nodes
-    ]
-
-
-def _shard_of(key: int, shards: int) -> int:
-    """Deterministic shard of one canonical node key (Knuth mix)."""
-    return ((key >> TAG_BITS) * 2654435761 & 0xFFFFFFFF) % shards
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +204,10 @@ class SolveStats:
     winning_orbits: int = 0
     safe_orbits: int = 0
     wall_seconds: float = 0.0  # lint: float-ok - measurement, not budget
-    jobs: int = 1
+    # Per-phase wall time; like ``wall_seconds``, out of every digest.
+    explore_s: float = 0.0  # lint: float-ok - measurement, not budget
+    attractor_s: float = 0.0  # lint: float-ok - measurement, not budget
+    harvest_s: float = 0.0  # lint: float-ok - measurement, not budget
 
     @property
     def peak_frontier(self) -> int:
@@ -348,7 +230,9 @@ class SolveStats:
             "winning_orbits": self.winning_orbits,
             "safe_orbits": self.safe_orbits,
             "wall_seconds": round(self.wall_seconds, 6),
-            "jobs": self.jobs,
+            "explore_s": round(self.explore_s, 6),
+            "attractor_s": round(self.attractor_s, 6),
+            "harvest_s": round(self.harvest_s, 6),
         }
 
 
@@ -411,7 +295,6 @@ class GameSolver:
         power_of_two_sizes: bool = True,
         move_budget: int | None = None,
         use_tt: bool = True,
-        engine: "ParallelEngine | None" = None,
     ) -> None:
         if live_bound < 1:
             raise ValueError("live_bound must be at least 1")
@@ -431,7 +314,6 @@ class GameSolver:
         self.move_budget = move_budget
         self.sizes = request_sizes(max_object, power_of_two_sizes)
         self.use_tt = use_tt
-        self.engine = engine
         self._state_shift = (
             TAG_BITS if move_budget is None else TAG_BITS + BUDGET_BITS
         )
@@ -575,6 +457,11 @@ class GameSolver:
         heap = heap_words
         shift = self._state_shift
         low_mask = (1 << shift) - 1
+        # The budget bits of a key; the base game has none, so every
+        # child's ``mid_bits`` is ``0`` there.
+        mid_mask = 0 if self.move_budget is None else (
+            MAX_MOVE_BUDGET << TAG_BITS
+        )
         safe_tt = self._safe_tt
         win_tt = self._win_tt
         sizes = self.sizes
@@ -591,8 +478,7 @@ class GameSolver:
         seeds: list[int] = []
         frontier: list[int] = []
 
-        stats = SolveStats(heap_words=heap, program_wins=False,
-                           jobs=self._effective_jobs())
+        stats = SolveStats(heap_words=heap, program_wins=False)
         # Tables only fill at harvest, so within one solve the read
         # guard is stable; the first solve skips the lookups entirely.
         tt_read = tt_enabled and bool(safe_tt or win_tt)
@@ -636,28 +522,24 @@ class GameSolver:
         )
         discover(root_key, 0)
 
-        # -- level-synchronous exploration ---------------------------------
-        # Candidate lists are NOT deduplicated: a duplicate successor
-        # adds a duplicate edge, which increments ``alive`` and is
-        # decremented once per occurrence by the attractor, so pending
-        # counts stay consistent and verdicts are unaffected.
+        # -- exploration: level-synchronous BFS, one fused loop ------------
+        # Each candidate is generated and consumed in turn, so a node
+        # that resolves stops generating.  Chunks are non-zero, so the
+        # segment count falls out of ``bit_length`` and states are
+        # peeled without temporary lists; within one gap, consecutive
+        # child encodings differ by a constant, so the placement loop
+        # steps two cursors instead of re-splicing.
         #
-        # Two exploration paths produce identical decisions: a fused
-        # generate-and-consume loop (serial base game — no candidate
-        # lists are materialized and truncation stops *generation*,
-        # not just consumption), and a two-phase path over
-        # :func:`_node_candidates` output used for parallel epochs and
-        # budgeted games.  ``raw_successors`` counts candidates
-        # actually generated, so it may legitimately differ across
-        # ``--jobs`` values (parallel workers over-generate truncated
-        # tails); verdicts, orbit and edge counts do not.
+        # Candidates are NOT deduplicated: a duplicate successor adds a
+        # duplicate edge, which increments ``alive`` and is decremented
+        # once per occurrence by the attractor, so pending counts stay
+        # consistent and verdicts are unaffected.  ``raw_successors``
+        # counts the candidates actually generated.
         index_get = index.get
         src_append = edge_src.append
         dst_append = edge_dst.append
         seeds_append = seeds.append
         raw_successors = 0
-        engine = self.engine
-        fuse_serial = move_budget is None
         chunk_bits = SEGMENT_BITS
         addr_bits = ADDRESS_BITS
         settled = True  # exploration + attractor ran to completion
@@ -673,95 +555,51 @@ class GameSolver:
             frontier = []
             stats.epochs += 1
             stats.frontier_widths.append(len(current))
-            if (engine is not None and engine.jobs > 1
-                    and len(current) >= engine.jobs * 8) or not fuse_serial:
-                candidate_lists = self._expand_epoch(
-                    current, keys, alts, heap
+            for node in current:
+                key = keys[node]
+                code = key >> shift
+                mirror = alts[node]
+                mid_bits = key & mid_mask
+                count = (
+                    (code.bit_length() + chunk_bits - 1) // chunk_bits
                 )
-                for position, node in enumerate(current):
-                    candidates = candidate_lists[position]
-                    flat_length = len(candidates)
-                    raw_successors += flat_length >> 1
-                    if keys[node] & Q_FLAG:
-                        alive = 0
-                        for cursor in range(0, flat_length, 2):
-                            ckey = candidates[cursor]
+                if key & Q_FLAG:
+                    size = key & SIZE_MASK
+                    alive = 0
+                    if mid_bits:
+                        # Budgeted manager node: moves first, with the
+                        # decisions placements get below.
+                        moves = _move_children(
+                            code, heap, mid_bits >> TAG_BITS, size, shift
+                        )
+                        raw_successors += len(moves)
+                        for ckey, mm in moves:
                             child = index_get(ckey)
                             if child is None:
-                                child = discover(
-                                    ckey, candidates[cursor + 1]
-                                )
+                                child = discover(ckey, mm)
                             child_status = status[child]
                             if (child_status == _SAFE_TT
                                     or child_status == _SAFE):
-                                # Some answer is provably safe: this
-                                # manager node is safe; stop.
                                 status[node] = _SAFE
                                 alive = -1
                                 break
                             if (child_status == _WIN
                                     or child_status == _WIN_TT
                                     ) and not compute_ranks:
-                                # Known lost answer: skipping the edge
-                                # pre-pays the attractor's pending
-                                # decrement.  (Ranks mode keeps the
-                                # edge so Q ranks match the naive
-                                # max-over-successors definition.)
+                                # Ranks mode keeps the edge: a moved-to
+                                # manager node can be a dead end, and Q
+                                # ranks follow the naive max-over-
+                                # successors definition.
                                 continue
                             src_append(node)
                             dst_append(child)
                             alive += 1
-                        if alive == 0:
-                            # No placement helps (dead end, or every
-                            # answer known winning): the program wins.
-                            status[node] = _WIN
-                            seeds_append(node)
-                        elif alive > 0:
-                            pending[node] = alive
-                    else:
-                        for cursor in range(0, flat_length, 2):
-                            ckey = candidates[cursor]
-                            child = index_get(ckey)
-                            if child is None:
-                                child = discover(
-                                    ckey, candidates[cursor + 1]
-                                )
-                            child_status = status[child]
-                            if (child_status == _WIN
-                                    or child_status == _WIN_TT):
-                                if not compute_ranks:
-                                    # Some move is provably winning:
-                                    # this program node wins; stop.
-                                    status[node] = _WIN
-                                    seeds_append(node)
-                                    break
-                                src_append(node)
-                                dst_append(child)
-                            elif (child_status != _SAFE_TT
-                                  and child_status != _SAFE):
-                                src_append(node)
-                                dst_append(child)
-                continue
-            # Fused serial path (base game).  Mirrors
-            # :func:`_node_candidates` exactly — same chunk splices,
-            # same order — with the consumption decisions inlined.
-            # Chunks are non-zero, so the segment count falls out of
-            # ``bit_length`` and states are peeled without temporary
-            # lists; within one gap, consecutive child encodings
-            # differ by a constant, so the inner loop steps two
-            # cursors instead of re-splicing.
-            for node in current:
-                key = keys[node]
-                code = key >> shift
-                mirror = alts[node]
-                count = (
-                    (code.bit_length() + chunk_bits - 1) // chunk_bits
-                )
-                if key & Q_FLAG:
-                    # Manager node: placements, gap by gap.
-                    size = key & SIZE_MASK
+                        if alive < 0:
+                            continue
+                    # Placements, gap by gap: placing at rep position
+                    # ``i`` splices a chunk into the code at position
+                    # ``i`` and into the mirror code at ``count - i``.
                     mirror_base = ((heap - size) << addr_bits) | size
-                    alive = 0
                     previous_end = 0
                     position = 0
                     remaining = code
@@ -795,20 +633,23 @@ class GameSolver:
                                 mm_cursor -= mm_step
                                 if cc > mm:
                                     cc, mm = mm, cc
-                                ckey = cc << shift
+                                ckey = (cc << shift) | mid_bits
                                 child = index_get(ckey)
                                 if child is None:
                                     child = discover(ckey, mm)
                                 child_status = status[child]
                                 if (child_status == _SAFE_TT
                                         or child_status == _SAFE):
+                                    # Some answer is provably safe:
+                                    # this manager node is safe; stop.
                                     status[node] = _SAFE
                                     alive = -1
                                     break
                                 if (child_status == _WIN
                                         or child_status == _WIN_TT):
-                                    # Known lost placement: skip the
-                                    # edge (pre-paid decrement).
+                                    # Known lost placement: skipping
+                                    # the edge pre-pays the attractor's
+                                    # pending decrement.
                                     continue
                                 src_append(node)
                                 dst_append(child)
@@ -823,12 +664,16 @@ class GameSolver:
                         remaining >>= chunk_bits
                         position += 1
                     if alive == 0:
+                        # No answer helps (dead end, or every answer
+                        # known winning): the program wins.
                         status[node] = _WIN
                         seeds_append(node)
                     elif alive > 0:
                         pending[node] = alive
                     continue
-                # Program node: frees, then requests.
+                # Program node: frees keep the turn, requests hand it
+                # over.  Freeing segment ``j`` drops chunk ``j`` of the
+                # code and chunk ``count-1-j`` of the mirror code.
                 top = (count - 1) * chunk_bits
                 truncated = False
                 for j in range(count):
@@ -843,13 +688,15 @@ class GameSolver:
                     raw_successors += 1
                     if cc > mm:
                         cc, mm = mm, cc
-                    ckey = cc << shift
+                    ckey = (cc << shift) | mid_bits
                     child = index_get(ckey)
                     if child is None:
                         child = discover(ckey, mm)
                     child_status = status[child]
                     if child_status == _WIN or child_status == _WIN_TT:
                         if not compute_ranks:
+                            # Some move is provably winning: this
+                            # program node wins; stop.
                             status[node] = _WIN
                             seeds_append(node)
                             truncated = True
@@ -891,54 +738,27 @@ class GameSolver:
 
         stats.raw_successors = raw_successors
         stats.edges = len(edge_dst)
+        explored = time.perf_counter()  # lint: float-ok - wall timing
+        stats.explore_s = explored - started  # lint: float-ok - wall timing
 
         # -- attractor over the reverse CSR --------------------------------
+        # Each column goes once read: the edge lists (and the bound
+        # appends, which hold them) when the CSR exists, the CSR before
+        # the harvest, so the tables never grow while either is live.
+        csr = (_reverse_csr(len(keys), edge_src, edge_dst)
+               if compute_ranks or settled else None)
+        del edge_src, edge_dst, src_append, dst_append
         rank: list[int] | None = None
-        if compute_ranks or settled:
-            rev_offsets, rev = _reverse_csr(len(keys), edge_src, edge_dst)
-        if compute_ranks:
-            rank = [-1] * len(keys)
-            for seed in seeds:
-                rank[seed] = 0
-            queue: deque[int] = deque(seeds)
-            while queue:
-                node = queue.popleft()
-                next_rank = rank[node] + 1
-                for position in range(rev_offsets[node],
-                                      rev_offsets[node + 1]):
-                    pred = rev[position]
-                    if status[pred] != _OPEN:
-                        continue
-                    if keys[pred] & Q_FLAG:
-                        pending[pred] -= 1
-                        if pending[pred]:
-                            continue
-                    status[pred] = _WIN
-                    rank[pred] = next_rank
-                    queue.append(pred)
-        elif settled:
-            stack = list(seeds)
-            early = False
-            while stack and not early:
-                node = stack.pop()
-                for position in range(rev_offsets[node],
-                                      rev_offsets[node + 1]):
-                    pred = rev[position]
-                    if status[pred] != _OPEN:
-                        continue
-                    if keys[pred] & Q_FLAG:
-                        pending[pred] -= 1
-                        if pending[pred]:
-                            continue
-                    status[pred] = _WIN
-                    if pred == 0:
-                        # Root verdict settled — the rest of the
-                        # attractor would only enlarge the harvest.
-                        early = True
-                        break
-                    stack.append(pred)
-            if early:
+        if csr is not None:
+            if compute_ranks:
+                rank = _ranked_attractor(csr, seeds, keys, status, pending)
+            elif _attractor(csr, seeds, keys, status, pending):
+                # Stopped once the root's verdict settled; the rest
+                # would only have enlarged the harvest.
                 settled = False
+        del csr
+        attracted = time.perf_counter()  # lint: float-ok - wall timing
+        stats.attractor_s = attracted - explored  # lint: float-ok - wall timing
 
         # -- harvest verdicts into the transposition tables -----------------
         # After a completed attractor, ``_OPEN`` means the winning
@@ -983,8 +803,9 @@ class GameSolver:
         elif (self._min_manager_win is None
               or heap < self._min_manager_win):
             self._min_manager_win = heap
-        stats.wall_seconds = (  # lint: float-ok - wall timing
-            time.perf_counter() - started)
+        finished = time.perf_counter()  # lint: float-ok - wall timing
+        stats.harvest_s = finished - attracted  # lint: float-ok - wall timing
+        stats.wall_seconds = finished - started  # lint: float-ok - wall timing
         self.history.append(stats)
         return SolveReport(
             heap_words=heap,
@@ -997,50 +818,6 @@ class GameSolver:
             state_shift=shift,
             settled=settled,
         )
-
-    # -- internals ----------------------------------------------------------
-
-    def _effective_jobs(self) -> int:
-        return self.engine.jobs if self.engine is not None else 1
-
-    def _expand_epoch(
-        self,
-        current: list[int],
-        keys: list[int],
-        alts: list[int],
-        heap: int,
-    ) -> list[list[tuple[int, int]]]:
-        """Candidate lists for one frontier, in frontier order."""
-        engine = self.engine
-        if (engine is None or engine.jobs <= 1
-                or len(current) < engine.jobs * 8):
-            generate = _node_candidates
-            sizes = self.sizes
-            live_bound = self.live_bound
-            move_budget = self.move_budget
-            return [
-                generate(keys[node], alts[node], heap, live_bound, sizes,
-                         move_budget)
-                for node in current
-            ]
-        shard_count = min(engine.jobs * 4, len(current))
-        shards: list[list[tuple[int, int]]] = [
-            [] for _ in range(shard_count)
-        ]
-        for node in current:
-            key = keys[node]
-            shards[_shard_of(key, shard_count)].append((key, alts[node]))
-        payloads = [
-            (self.move_budget, heap, self.live_bound, self.sizes,
-             tuple(shard))
-            for shard in shards if shard
-        ]
-        produced = engine.map(_expand_shard, payloads)
-        by_key: dict[int, list[tuple[int, int]]] = {}
-        for shard_result in produced:
-            for key, candidates in shard_result:
-                by_key[key] = candidates
-        return [by_key[keys[node]] for node in current]
 
 
 def _record(
@@ -1061,42 +838,107 @@ def _record(
             table[alt_key] = heap
 
 
+def _attractor(
+    csr: "tuple[array[int], array[int]]",
+    seeds: list[int],
+    keys: list[int],
+    status: bytearray,
+    pending: list[int],
+) -> bool:
+    """The program's attractor, depth-first from ``seeds``.
+
+    Marks every node the program can force into the winning region
+    ``_WIN``.  Returns True when it stopped early because the root's
+    verdict settled (then ``_OPEN`` no longer means safe).
+    """
+    offsets, rev = csr
+    stack = list(seeds)
+    while stack:
+        node = stack.pop()
+        for position in range(offsets[node], offsets[node + 1]):
+            pred = rev[position]
+            if status[pred] != _OPEN:
+                continue
+            if keys[pred] & Q_FLAG:
+                pending[pred] -= 1
+                if pending[pred]:
+                    continue
+            status[pred] = _WIN
+            if pred == 0:
+                return True
+            stack.append(pred)
+    return False
+
+
+def _ranked_attractor(
+    csr: "tuple[array[int], array[int]]",
+    seeds: list[int],
+    keys: list[int],
+    status: bytearray,
+    pending: list[int],
+) -> list[int]:
+    """The full attractor in FIFO order, with each node's rank: the
+    round it joined the winning region (``-1`` outside it)."""
+    offsets, rev = csr
+    rank = [-1] * len(keys)
+    for seed in seeds:
+        rank[seed] = 0
+    queue: deque[int] = deque(seeds)
+    while queue:
+        node = queue.popleft()
+        next_rank = rank[node] + 1
+        for position in range(offsets[node], offsets[node + 1]):
+            pred = rev[position]
+            if status[pred] != _OPEN:
+                continue
+            if keys[pred] & Q_FLAG:
+                pending[pred] -= 1
+                if pending[pred]:
+                    continue
+            status[pred] = _WIN
+            rank[pred] = next_rank
+            queue.append(pred)
+    return rank
+
+
 def _reverse_csr(
     node_count: int, edge_src: "array[int]", edge_dst: "array[int]"
-) -> tuple[list[int], list[int]]:
+) -> "tuple[array[int], array[int]]":
     """Predecessor lists in CSR form, grouped by destination.
 
-    Stable in edge-insertion order within each destination, so the
-    numpy fast path (stable argsort, taken whenever numpy imports) and
-    the pure-Python counting sort (the reference, and the numpy-free
-    path) produce identical attractor traversals.
+    Returns ``(offsets, rev)`` as ``array('q')`` columns on both
+    backends: node ``v``'s predecessors are
+    ``rev[offsets[v]:offsets[v + 1]]``.  Stable in edge-insertion order
+    within each destination, so the numpy fast path (stable argsort,
+    taken whenever numpy imports) and the pure-Python counting sort (the
+    reference, and the numpy-free path) produce identical attractor
+    traversals.
     """
     edge_count = len(edge_dst)
+    offsets = array("q", [0]) * (node_count + 1)
+    rev = array("q", [0]) * edge_count
     if edge_count == 0:
-        return [0] * (node_count + 1), []
+        return offsets, rev
     try:
         import numpy
     except ImportError:
         numpy = None
     if numpy is not None:
+        # Written straight into the columns through writable views.
         dst = numpy.frombuffer(edge_dst, dtype=numpy.int64)
-        src = numpy.frombuffer(edge_src, dtype=numpy.int64)
         order = numpy.argsort(dst, kind="stable")
-        rev = src[order].tolist()
-        counts = numpy.bincount(dst, minlength=node_count)
-        offsets_array = numpy.zeros(node_count + 1, dtype=numpy.int64)
-        numpy.cumsum(counts, out=offsets_array[1:])
-        return offsets_array.tolist(), rev
-    counts = [0] * (node_count + 1)
+        numpy.take(numpy.frombuffer(edge_src, dtype=numpy.int64), order,
+                   out=numpy.frombuffer(rev, dtype=numpy.int64))
+        numpy.cumsum(numpy.bincount(dst, minlength=node_count),
+                     out=numpy.frombuffer(offsets, dtype=numpy.int64)[1:])
+        return offsets, rev
     for dst_node in edge_dst:
-        counts[dst_node + 1] += 1
+        offsets[dst_node + 1] += 1
     for position in range(1, node_count + 1):
-        counts[position] += counts[position - 1]
-    offsets = list(counts)
-    cursor = list(counts[:-1])
-    rev = [0] * edge_count
-    for position in range(edge_count):
-        dst_node = edge_dst[position]
-        rev[cursor[dst_node]] = edge_src[position]
-        cursor[dst_node] += 1
+        offsets[position] += offsets[position - 1]
+    cursor = offsets[:-1]
+    for src_node, dst_node in zip(edge_src, edge_dst):
+        slot = cursor[dst_node]
+        rev[slot] = src_node
+        cursor[dst_node] = slot + 1
     return offsets, rev

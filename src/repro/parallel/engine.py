@@ -104,8 +104,7 @@ class ParallelEngine:
 
     Serial and parallel runs are byte-identical: results merge in task
     order, and ``tests/parallel/test_engine.py`` pins the grid digests
-    equal at jobs 1, 2 and 4 (``tests/exact/test_solver.py`` does the
-    same for the solver's frontier fan-out through :meth:`map`).
+    equal at jobs 1, 2 and 4.
     """
 
     jobs: int = 1
@@ -178,28 +177,6 @@ class ParallelEngine:
             grid_digest=grid.hexdigest(),
         )
         return merged
-
-    def map(self, func, items: Sequence) -> list:
-        """Ordered generic fan-out: ``[func(x) for x in items]`` on the pool.
-
-        The simulation-agnostic sibling of :meth:`run` — no result cache,
-        no tracing, just the engine's pool policy (fork context, ordered
-        merge, deterministic chunking).  ``func`` must be picklable
-        (module-level, or a :func:`functools.partial` of one).  With
-        ``jobs <= 1`` or a single item it executes in-process, so callers
-        get byte-identical results across ``--jobs`` values for free.
-        """
-        items = list(items)
-        if self.jobs <= 1 or len(items) <= 1:
-            return [func(item) for item in items]
-        workers = min(self.jobs, len(items))
-        chunk = self.chunk_size
-        if chunk is None:
-            chunk = max(1, len(items) // (workers * 4))
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=_pool_context()
-        ) as pool:
-            return list(pool.map(func, items, chunksize=chunk))
 
     # Internal ---------------------------------------------------------------
 

@@ -224,9 +224,9 @@ class SolveTask:
     The solve analogue of :class:`SimTask` — a picklable, JSON-able
     spec that hashes into a :class:`~repro.parallel.cache.ResultCache`
     key, so repeated ``repro solve`` invocations replay the cached
-    value instead of re-running the attractor.  ``jobs`` and search
-    strategy are deliberately *not* part of the spec: they change wall
-    time, never the value, and must not fragment the cache.
+    value instead of re-running the attractor.  The search strategy is
+    deliberately *not* part of the spec: it changes wall time, never the
+    value, and must not fragment the cache.
     """
 
     live_bound: int
@@ -269,9 +269,9 @@ class SolveResult:
 
     ``probes`` is the deterministic ``(heap_words, program_wins)``
     sequence the bracketed search actually ran; ``event_digest`` hashes
-    the task, value and probe verdicts (not timings), so identical
-    inputs produce identical digests at any ``--jobs`` value — the same
-    determinism anchor the simulation tasks carry.
+    the task, value and probe verdicts (not timings, per-phase ones
+    included), so identical inputs produce identical digests run after
+    run — the same determinism anchor the simulation tasks carry.
     """
 
     task: SolveTask
@@ -325,28 +325,21 @@ def solve_digest(task: SolveTask, value: int,
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def run_solve_task(task: SolveTask, jobs: int = 1,
-                   search: str = "auto") -> SolveResult:
+def run_solve_task(task: SolveTask, search: str = "auto") -> SolveResult:
     """Execute one exact solve and package the cacheable result.
 
-    Runs in the parent process — the parallelism (``jobs > 1``) lives
-    *inside* the solver's frontier expansion, not across tasks.
+    The solve runs in this process on the solver's one serial explorer;
+    ``search`` picks the heap-size walk and never changes the value.
     """
     import time
 
     from ..exact.solver import GameSolver
 
-    engine = None
-    if jobs > 1:
-        from .engine import ParallelEngine
-
-        engine = ParallelEngine(jobs=jobs)
     started = time.perf_counter()
     solver = GameSolver(
         task.live_bound, task.max_object,
         power_of_two_sizes=task.power_of_two_sizes,
         move_budget=task.move_budget,
-        engine=engine,
     )
     value = solver.minimum_heap_words(search=search)
     wall = time.perf_counter() - started

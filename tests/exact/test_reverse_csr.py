@@ -5,7 +5,9 @@ pure-Python counting sort otherwise; the counting sort is the reference
 (and the only path in a numpy-free install).  Both must group edge
 sources by destination, stable in edge-insertion order, or the
 attractor's traversal — and with it every solve — would differ by
-backend.  The reference leg runs with ``sys.modules["numpy"] = None``,
+backend.  Both return flat ``array('q')`` columns, the zero-edge case
+included; they are compared with the list oracle through ``.tolist()``.
+The reference leg runs with ``sys.modules["numpy"] = None``,
 which makes ``import numpy`` raise ``ImportError`` inside the function.
 """
 
@@ -33,14 +35,22 @@ def _oracle(node_count: int, src: list[int],
     return offsets, rev
 
 
+def _columns(csr) -> tuple[list[int], list[int]]:
+    """Both CSR columns as lists, after checking they are flat."""
+    offsets, rev = csr
+    assert type(offsets) is array and offsets.typecode == "q"
+    assert type(rev) is array and rev.typecode == "q"
+    return offsets.tolist(), rev.tolist()
+
+
 def _both(monkeypatch, node_count: int, src: list[int], dst: list[int]):
     edge_src, edge_dst = array("q", src), array("q", dst)
-    fast = _reverse_csr(node_count, edge_src, edge_dst)
+    fast = _columns(_reverse_csr(node_count, edge_src, edge_dst))
     with monkeypatch.context() as patch:
         patch.setitem(sys.modules, "numpy", None)
         with pytest.raises(ImportError):
             import numpy  # noqa: F401
-        reference = _reverse_csr(node_count, edge_src, edge_dst)
+        reference = _columns(_reverse_csr(node_count, edge_src, edge_dst))
     return fast, reference
 
 

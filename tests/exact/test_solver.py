@@ -3,7 +3,7 @@
 The contract is byte-identical verdicts with :mod:`repro.exact.game`'s
 naive explorer on every previously solvable point, plus the scaling
 machinery itself: transposition-table reuse across heap sizes, the
-bracketed search, deterministic parallel frontier expansion, and the
+bracketed search, the explored graph pinned per probe, and the
 stats/report surface the benches and ``repro solve`` consume.
 """
 
@@ -16,7 +16,6 @@ from repro.exact.solver import (
     formula_guess,
     solver_ceiling,
 )
-from repro.parallel.engine import ParallelEngine
 
 
 class TestConstruction:
@@ -130,18 +129,38 @@ class TestTranspositionTables:
         assert len(solver.history) == probes  # watermarks, no new solves
 
 
-class TestParallelDeterminism:
-    def test_jobs_do_not_change_anything_observable(self):
-        serial = GameSolver(6, 2)
-        parallel = GameSolver(6, 2, engine=ParallelEngine(jobs=2))
-        for heap in (7, 8):
-            left = serial.solve(heap)
-            right = parallel.solve(heap)
-            assert left.program_wins == right.program_wins
-            assert left.stats.orbits_visited == right.stats.orbits_visited
-            assert left.stats.edges == right.stats.edges
-            assert left.keys == right.keys
-            assert bytes(left.status) == bytes(right.status)
+#: Per probe of ``minimum_heap_words``: (heap_words, program_wins,
+#: orbits_visited, p_orbits, q_orbits, edges, winning_orbits,
+#: safe_orbits).  ``raw_successors`` is deliberately absent: it counts
+#: candidates generated, and generation stops once a node resolves.
+EXPLORED_GRAPH_PINS = {
+    (6, 2, None): (8, [(8, False, 905, 427, 478, 3653, 77, 828),
+                       (7, True, 441, 202, 239, 1261, 423, 0)]),
+    (8, 2, None): (11, [(11, False, 12404, 5620, 6784, 64336, 964, 11440),
+                        (10, True, 5838, 2618, 3220, 23025, 5652, 0)]),
+    (4, 4, 2): (5, [(5, False, 219, 108, 111, 930, 9, 210),
+                    (4, True, 128, 56, 72, 362, 116, 0)]),
+    (8, 2, 1): (11, [(11, False, 24808, 11240, 13568, 252640, 1004, 23804),
+                     (10, True, 12623, 5277, 7346, 96346, 11998, 0)]),
+}
+
+
+class TestExploredGraph:
+    @pytest.mark.parametrize("point", list(EXPLORED_GRAPH_PINS),
+                             ids=lambda point: "M%d-n%d-B%s" % point)
+    def test_probe_counts_are_pinned(self, point):
+        """Per-probe orbit and edge counts fingerprint the explored
+        graph, so a change to candidate order, pruning or truncation
+        shows up here even when every verdict holds."""
+        live, objects, budget = point
+        value, probes = EXPLORED_GRAPH_PINS[point]
+        solver = GameSolver(live, objects, move_budget=budget)
+        assert solver.minimum_heap_words() == value
+        assert [
+            (s.heap_words, s.program_wins, s.orbits_visited, s.p_orbits,
+             s.q_orbits, s.edges, s.winning_orbits, s.safe_orbits)
+            for s in solver.history
+        ] == probes
 
 
 class TestReportSurface:
@@ -172,6 +191,36 @@ class TestReportSurface:
         assert report.rank is not None
         root_rank = report.node_rank(0)
         assert root_rank is not None and root_rank > 0
+
+    def test_phase_timings_stay_out_of_digest_and_metrics(self):
+        """Per-phase timings are out-of-band: results that differ only
+        in them share the digest and the ``solver.*`` metrics."""
+        from dataclasses import replace
+
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.telemetry import record_solver_metrics
+        from repro.parallel.tasks import SolveTask, run_solve_task, solve_digest
+
+        timings = ("explore_s", "attractor_s", "harvest_s", "wall_seconds")
+        result = run_solve_task(SolveTask(6, 2))
+        for entry in result.stats:
+            assert all(entry[name] >= 0 for name in timings)
+        retimed = replace(result, stats=tuple(
+            {**entry, **{name: entry[name] + 1.5 for name in timings}}
+            for entry in result.stats
+        ))
+        assert retimed.stats != result.stats
+        digests = {
+            solve_digest(r.task, r.minimum_heap_words, r.probes)
+            for r in (result, retimed)
+        }
+        assert digests == {result.event_digest}
+        metrics = []
+        for r in (result, retimed):
+            registry = MetricsRegistry()
+            record_solver_metrics(registry, list(r.stats))
+            metrics.append(registry.as_dict())
+        assert metrics[0] == metrics[1]
 
     def test_history_accumulates(self):
         solver = GameSolver(4, 2)

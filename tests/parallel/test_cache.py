@@ -129,8 +129,8 @@ class TestSolveResultCache:
         from repro.parallel.tasks import SolveTask, run_solve_task
 
         task = SolveTask(live_bound=4, max_object=2)
-        first = run_solve_task(task, jobs=1)
-        second = run_solve_task(task, jobs=1, search="linear")
+        first = run_solve_task(task)
+        second = run_solve_task(task, search="linear")
         # Search order may differ (different probes => different
         # digest), but the same search is bit-stable.
         assert first.event_digest == run_solve_task(task).event_digest

@@ -110,13 +110,20 @@ class TestMisc:
         assert "B=2" in out and "5 words" in out
         assert "peak_frontier=" in out
 
+    def test_solve_stats_show_phases(self, capsys):
+        assert main(["solve", "--live", "4", "--object", "2",
+                     "--stats"]) == 0
+        out = capsys.readouterr().out
+        for phase in ("explore=", "attractor=", "harvest="):
+            assert phase in out
+
     def test_solve_cache_roundtrip(self, tmp_path, capsys):
         cache_dir = tmp_path / "solve-cache"
         argv = ["solve", "--live", "4", "--object", "2",
                 "--cache-dir", str(cache_dir)]
         assert main(argv) == 0
         cold = capsys.readouterr().out
-        assert "solved, jobs=" in cold
+        assert "solved," in cold
         assert main(argv) == 0
         warm = capsys.readouterr().out
         assert "[cache," in warm

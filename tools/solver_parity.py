@@ -12,9 +12,10 @@ points *and* an exhaustive micro grid it compares
 * the resulting ``minimum_heap_words`` value,
 
 for both request-size families, plus the budgeted variant on a smaller
-grid.  Any mismatch prints the offending point and exits 1 — verdict
-parity is the whole soundness story of the reduction, so this gate must
-stay green no matter how the solver internals move.
+grid (both families, budgets 0-3, ``M <= 5``).  Any mismatch prints the
+offending point and exits 1 — verdict parity is the whole soundness
+story of the reduction, so this gate must stay green no matter how the
+solver internals move.
 
 Usage::
 
@@ -72,23 +73,32 @@ def check_point(live: int, objects: int, power_of_two: bool,
 
 
 def check_budgeted(max_live: int) -> list[str]:
-    """Budgeted parity on a micro grid (its graphs grow much faster)."""
+    """Budgeted parity on a micro grid (its graphs grow much faster):
+    both request-size families, budgets 0-3, ``M <= 5`` — the all-sizes
+    family has size-3 segments to move."""
     failures = []
-    for live in range(1, min(max_live, 4) + 1):
+    for live in range(1, min(max_live, 5) + 1):
         for objects in range(1, live + 1):
-            for budget in range(3):
-                solver = GameSolver(live, objects, move_budget=budget)
-                for heap in range(live, live + 4):
-                    config = BudgetedConfig(
-                        GameConfig(live, objects, heap), budget
+            for power_of_two in (True, False):
+                for budget in range(4):
+                    solver = GameSolver(
+                        live, objects, power_of_two_sizes=power_of_two,
+                        move_budget=budget,
                     )
-                    if solver.program_wins(heap) != (
-                        naive_program_wins_budgeted(config)
-                    ):
-                        failures.append(
-                            f"budgeted verdict mismatch at M={live}, "
-                            f"n={objects}, B={budget}, H={heap}"
+                    for heap in range(live, live + 4):
+                        config = BudgetedConfig(
+                            GameConfig(live, objects, heap,
+                                       power_of_two_sizes=power_of_two),
+                            budget,
                         )
+                        if solver.program_wins(heap) != (
+                            naive_program_wins_budgeted(config)
+                        ):
+                            failures.append(
+                                f"budgeted verdict mismatch at M={live}, "
+                                f"n={objects}, B={budget}, H={heap}, "
+                                f"p2={power_of_two}"
+                            )
     return failures
 
 
@@ -121,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 1
     print(f"solver parity OK: {points} points (both families) + budgeted "
-          f"micro grid, {elapsed:.1f}s")
+          f"micro grid (M<=5, B<=3, both families), {elapsed:.1f}s")
     return 0
 
 
