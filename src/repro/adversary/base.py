@@ -6,7 +6,9 @@ told (implicitly, by observing the allocator) when objects move.  Our
 driver makes the move signal explicit — :class:`ProgramView` lets the
 program register a move listener that fires *immediately* after each
 compaction move, which is precisely the hook :math:`P_F` needs to free
-moved objects on the spot.
+moved objects on the spot.  A program may also announce its phases
+(:meth:`ProgramView.stage`); the driver records them with the rest of
+the run.
 
 A program is anything implementing :class:`AdversaryProgram`; the name is
 historical — benign workloads (used to exercise the upper-bound
@@ -48,6 +50,16 @@ class ProgramView:
     def free(self, object_id: int) -> None:
         """De-allocate one of the program's live objects."""
         self._driver.program_free(object_id)
+
+    def stage(self, stage: str, step: int, label: str = "") -> None:
+        """Announce a phase boundary: round ``step`` of ``stage`` begins.
+
+        The driver records it as a
+        :class:`~repro.obs.events.StageTransition` (when it has an event
+        bus) and as a ``stage:<stage>`` span (when it has a tracer);
+        ``label`` names the boundary for reports.
+        """
+        self._driver.program_stage(stage, step, label)
 
     # Observation -------------------------------------------------------------
 

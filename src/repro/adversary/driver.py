@@ -12,6 +12,11 @@ and enforces every contract of the paper's model:
   (:class:`~repro.heap.errors.OverlapError` otherwise);
 * move notifications reach the program immediately.
 
+The driver is also the run's one recorder: with an event bus it writes
+every row of the tape — the requests it serves, the compaction windows
+and moves it mediates, each ledger charge it makes and each phase
+boundary the program announces through its view.
+
 The figure of merit is ``ExecutionResult.waste_factor`` —
 ``HS / M``, the quantity all the paper's bounds speak about.
 """
@@ -30,7 +35,7 @@ from ..heap.object_model import HeapObject
 from ..mm.base import ManagerContext, MemoryManager
 from ..mm.budget import BudgetSnapshot, CompactionBudget
 from ..obs.events import EventBus
-from ..obs.trace import StageSpanSink, Tracer, active_tracer
+from ..obs.trace import Span, Tracer, active_tracer
 from .base import AdversaryProgram, ProgramMoveListener, ProgramView
 
 __all__ = ["ExecutionDriver", "ExecutionResult", "run_execution"]
@@ -108,7 +113,9 @@ class ExecutionDriver:
         self.heap = SimHeap(kernel=make_kernel(self.kernel_name))
         #: The telemetry bus, or None (every emission site below guards
         #: on this, so uninstrumented runs pay one comparison per
-        #: operation; a bus records each event as one tape row).
+        #: operation; a bus records each event as one tape row).  The
+        #: driver is the only writer: programs announce stages through
+        #: their view, and the ledger's charges are recorded here.
         self.observer = observer
         #: Read ``perf_counter_ns`` around each allocation for
         #: ``Alloc.latency_ns`` (:meth:`repro.obs.telemetry.Telemetry.bind`
@@ -125,11 +132,8 @@ class ExecutionDriver:
         #: The budget ledger; pass an :class:`~repro.mm.budget.AbsoluteBudget`
         #: to run the B-bounded model variant instead of the c-partial one.
         self.budget = budget if budget is not None else CompactionBudget(
-            params.compaction_divisor, observer=observer
+            params.compaction_divisor
         )
-        if budget is not None and observer is not None \
-                and getattr(budget, "observer", None) is None:
-            budget.observer = observer
         #: Re-check full heap invariants after every event (slow; tests).
         self.paranoid = paranoid
         self.program_move_listener: ProgramMoveListener | None = None
@@ -137,6 +141,10 @@ class ExecutionDriver:
         self._allocs = 0
         self._frees = 0
         self._moves = 0
+        #: The running program's name (the ``program`` of stage rows)
+        #: and its open ``stage:*`` span, both set during :meth:`run`.
+        self._program_name = ""
+        self._stage_span: Span | None = None
         if self._fine_tracer is not None:
             # The budget ledger's enforcement spans ride the same tracer
             # (the attribute is None on uninstrumented ledgers).
@@ -185,6 +193,8 @@ class ExecutionDriver:
                                  self._ctx.moved_words_this_request)
         obj = self.heap.place(address, size)  # raises OverlapError if bad
         self.budget.charge_allocation(size)
+        if observer is not None:
+            observer.emit_charge("alloc", size, self.budget.remaining)
         self.manager.on_place(obj)
         self._allocs += 1
         self._live_peak = max(self._live_peak, self.heap.live_words)
@@ -223,6 +233,24 @@ class ExecutionDriver:
         if self.paranoid:
             self.heap.check_invariants()
 
+    def program_stage(self, stage: str, step: int, label: str = "") -> None:
+        """Record one phase boundary the program announces.
+
+        With a bus this is a :class:`~repro.obs.events.StageTransition`
+        row; with a tracer it closes the previous ``stage:<stage>`` span
+        and opens the next one (:meth:`run` closes the last), bus or no
+        bus, giving the trace per-phase attribution.
+        """
+        if self.observer is not None:
+            self.observer.emit_stage(self._program_name, stage, step, label)
+        tracer = self.tracer
+        if tracer is not None:
+            if self._stage_span is not None:
+                tracer.end(self._stage_span)
+            self._stage_span = tracer.begin_unchecked(f"stage:{stage}", {
+                "program": self._program_name, "step": step, "label": label,
+            })
+
     # Manager move notification ----------------------------------------------
 
     def _on_manager_move(
@@ -230,8 +258,10 @@ class ExecutionDriver:
     ) -> None:
         self._moves += 1
         if self.observer is not None:
-            # Emitted before the program's listener so a consequent
-            # free (P_F's immediate-free rule) follows its move.
+            # The ledger charged the move just before it happened.  Both
+            # rows precede the program's listener so a consequent free
+            # (P_F's immediate-free rule) follows its move.
+            self.observer.emit_charge("move", obj.size, self.budget.remaining)
             self.observer.emit_move(obj.object_id, obj.size, old_address,
                                     new_address)
         if self.program_move_listener is not None:
@@ -243,15 +273,13 @@ class ExecutionDriver:
         """Execute the program to completion and measure.
 
         With a tracer attached the whole execution sits under one
-        ``run`` span, and — when a bus is wired too — a
-        :class:`~repro.obs.trace.StageSpanSink` converts the program's
-        :class:`~repro.obs.events.StageTransition` events into
-        ``stage:*`` child spans, giving the trace per-phase attribution
-        without the program knowing about tracers.
+        ``run`` span, with one ``stage:*`` child span per phase the
+        program announces (:meth:`program_stage`), so the trace gets
+        per-phase attribution without the program knowing about tracers.
         """
         view = ProgramView(self)
+        self._program_name = program.name
         tracer = self.tracer
-        stage_sink = None
         if tracer is not None:
             run_span = tracer.begin_unchecked("run", {
                 "program": program.name,
@@ -259,16 +287,13 @@ class ExecutionDriver:
                 "live_space": self.params.live_space,
                 "max_object": self.params.max_object,
             })
-            if self.observer is not None:
-                stage_sink = StageSpanSink(tracer)
-                self.observer.subscribe(stage_sink)
         start = time.perf_counter()
         program.run(view)
         wall_seconds = time.perf_counter() - start
         if tracer is not None:
-            if stage_sink is not None:
-                stage_sink.finish()
-                self.observer.unsubscribe(stage_sink)
+            if self._stage_span is not None:
+                tracer.end(self._stage_span)
+                self._stage_span = None
             run_span.set(
                 heap_size=self.heap.high_water,
                 allocs=self._allocs, frees=self._frees, moves=self._moves,

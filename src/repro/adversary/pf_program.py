@@ -42,7 +42,6 @@ from ..core.params import BoundParams
 from ..core.theorem1 import feasible_density_exponents, lower_bound, waste_factor_at
 from ..heap.chunks import ChunkId, ChunkPartition
 from ..heap.object_model import HeapObject
-from ..obs.events import EventBus
 from .association import WHOLE, AssociationMap
 from .base import AdversaryProgram, ProgramView
 from .ghosts import GhostRegistry
@@ -62,7 +61,6 @@ class PFProgram(AdversaryProgram):
         *,
         density_exponent: int | None = None,
         observer: Any = None,
-        bus: EventBus | None = None,
     ) -> None:
         """Build the adversary for one parameter point.
 
@@ -72,9 +70,10 @@ class PFProgram(AdversaryProgram):
         ``on_association_initialized(program)``,
         ``on_stage2_step(i, program)``, ``after_density_pass(i, program)``,
         ``after_allocation(i, obj, program)`` and ``on_finish(program)``;
-        the invariant-checking tests ride these hooks.  ``bus`` is the
-        optional telemetry bus: every Stage I/II round boundary emits a
-        :class:`~repro.obs.events.StageTransition` through it.
+        the invariant-checking tests ride these hooks.  Every Stage I/II
+        round boundary is announced through the view
+        (:meth:`~repro.adversary.base.ProgramView.stage`), which the
+        driver records as a :class:`~repro.obs.events.StageTransition`.
         """
         if params.compaction_divisor is None:
             raise ValueError(
@@ -106,7 +105,6 @@ class PFProgram(AdversaryProgram):
             / (density_exponent + 1.0),
         )
         self.observer = observer
-        self.bus = bus
         # Execution state (populated by run()).
         self.ghosts = GhostRegistry()
         self.association = AssociationMap()
@@ -121,10 +119,6 @@ class PFProgram(AdversaryProgram):
         method = getattr(self.observer, hook, None)
         if method is not None:
             method(*args)
-
-    def _emit_stage(self, stage: str, step: int, label: str = "") -> None:
-        if self.bus is not None:
-            self.bus.emit_stage(self.name, stage, step, label)
 
     # Move handling (Definition 4.1 + Stage-II residue rule) -----------------
 
@@ -146,10 +140,10 @@ class PFProgram(AdversaryProgram):
         self.stage = 1
         engine = RobsonEngine(view, self.ghosts)
         self._engine = engine
-        self._emit_stage("I", 0, "stage I begin")
+        view.stage("I", 0, "stage I begin")
         engine.initial_step()
         for i in range(1, self.density_exponent + 1):
-            self._emit_stage("I", i)
+            view.stage("I", i)
             engine.step(i)
             self._notify("on_stage1_step", i, engine.offset)
         # Null steps ell+1 .. 2*ell-1: nothing happens.
@@ -257,7 +251,7 @@ class PFProgram(AdversaryProgram):
         first_step = 2 * self.density_exponent
         last_step = self.params.log_n - 2
         for i in range(first_step, last_step + 1):
-            self._emit_stage(
+            view.stage(
                 "II", i, "stage I -> stage II" if i == first_step else "",
             )
             self.current_exponent = i

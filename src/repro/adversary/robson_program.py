@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from ..core.params import BoundParams
 from ..heap.object_model import HeapObject
-from ..obs.events import EventBus
 from .base import AdversaryProgram, ProgramView
 from .ghosts import GhostRegistry
 
@@ -147,7 +146,6 @@ class RobsonProgram(AdversaryProgram):
         params: BoundParams,
         *,
         max_step: int | None = None,
-        bus: EventBus | None = None,
     ) -> None:
         self.params = params
         self.max_step = params.log_n if max_step is None else max_step
@@ -157,13 +155,6 @@ class RobsonProgram(AdversaryProgram):
             )
         self.ghosts = GhostRegistry()
         self.engine: RobsonEngine | None = None
-        #: Optional telemetry bus: each round boundary emits a
-        #: :class:`~repro.obs.events.StageTransition`.
-        self.bus = bus
-
-    def _emit_stage(self, step: int, label: str = "") -> None:
-        if self.bus is not None:
-            self.bus.emit_stage(self.name, "robson", step, label)
 
     def run(self, view: ProgramView) -> None:
         engine = RobsonEngine(view, self.ghosts)
@@ -176,9 +167,10 @@ class RobsonProgram(AdversaryProgram):
             self.ghosts.record(obj)
 
         view.set_move_listener(on_move)
-        self._emit_stage(0, "initial fill")
+        # Each round boundary is a "robson" stage announced to the view.
+        view.stage("robson", 0, "initial fill")
         engine.initial_step()
         for i in range(1, self.max_step + 1):
-            self._emit_stage(i)
+            view.stage("robson", i)
             engine.step(i)
         view.set_move_listener(None)

@@ -129,8 +129,6 @@ def _run_row(
 
         bus = EventBus()
         sanitizer.attach(bus)
-        if hasattr(program, "bus"):
-            program.bus = bus
         result = run_execution(params, program, manager, observer=bus,
                                tracer=tracer, kernel=kernel)
         sanitizer.finish()

@@ -154,8 +154,7 @@ def replay_digest(manifest: Mapping[str, object]) -> str | None:
 
     Returns None when the manifest names a program this module cannot
     rebuild.  Raises ``ValueError`` on malformed parameters.  The
-    replay runs with a subscriber-free bus: its tape alone yields the
-    digest.
+    replay runs with a bare bus: its tape alone yields the digest.
     """
     from ..core.params import BoundParams
     from ..mm.registry import create_manager
@@ -180,8 +179,6 @@ def replay_digest(manifest: Mapping[str, object]) -> str | None:
     from ..adversary.driver import ExecutionDriver
 
     bus = EventBus()
-    if hasattr(program, "bus"):
-        program.bus = bus
     driver = ExecutionDriver(params, create_manager(manager_name, params),
                              observer=bus)
     driver.run(program)

@@ -15,8 +15,8 @@ and each checker makes one pass over its columns
   run;
 * a :class:`Sanitizer` — the ``--sanitize`` path — is attached to the
   live :class:`~repro.obs.events.EventBus` and checks its tape at
-  :meth:`Sanitizer.finish`; it does not subscribe, so the run builds no
-  event objects for it.  It also rides the
+  :meth:`Sanitizer.finish`, so the run builds no event objects for
+  it.  It also rides the
   :class:`~repro.adversary.pf_program.PFProgram` observer hooks (the
   association map is only reachable online) and raises
   :class:`~repro.check.base.InvariantViolationError` at

@@ -432,14 +432,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             sanitizer.attach(drivers[0].observer)
     else:
         observer = None
-        if sanitizer is not None or tracer is not None:
+        if sanitizer is not None:
             from .obs.events import EventBus
 
             observer = EventBus()
-            if sanitizer is not None:
-                sanitizer.attach(observer)
-            if hasattr(program, "bus"):
-                program.bus = observer
+            sanitizer.attach(observer)
         driver = ExecutionDriver(params, manager, observer=observer,
                                  tracer=tracer, kernel=args.kernel)
         result = driver.run(program)

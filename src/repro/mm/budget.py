@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 from ..heap.errors import CompactionBudgetExceeded
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs.events import EventBus
     from ..obs.trace import Tracer
 
 __all__ = [
@@ -102,14 +101,14 @@ class CompactionBudget:
     divisor:
         The paper's ``c``.  ``None`` means *no compaction allowed*: every
         move attempt fails (the Robson regime).
-    observer:
-        Optional telemetry bus; every successful charge emits a
-        :class:`~repro.obs.events.BudgetCharge` with the remaining
-        budget, so reports can plot the ledger draining.
+
+    The ledger records nothing itself: the driver, which makes every
+    charge, writes each one to its event bus as a
+    :class:`~repro.obs.events.BudgetCharge` with :attr:`remaining`
+    after it, so reports can plot the ledger draining.
     """
 
-    def __init__(self, divisor: float | None,
-                 observer: "EventBus | None" = None) -> None:
+    def __init__(self, divisor: float | None) -> None:
         if divisor is not None and divisor <= 1:
             raise ValueError("compaction divisor c must exceed 1")
         self._divisor = divisor
@@ -120,7 +119,6 @@ class CompactionBudget:
             self._num, self._den = divisor_as_integer_ratio(divisor)
         self._allocated = 0
         self._moved = 0
-        self.observer = observer
         #: Fine-grained span tracer (the driver sets this only when
         #: per-operation tracing is on; None costs one comparison).
         self.tracer: "Tracer | None" = None
@@ -132,8 +130,6 @@ class CompactionBudget:
         if words <= 0:
             raise ValueError("allocation size must be positive")
         self._allocated += words
-        if self.observer is not None:
-            self.observer.emit_charge("alloc", words, self.remaining)
 
     # Spending ----------------------------------------------------------------
 
@@ -190,8 +186,6 @@ class CompactionBudget:
                 f"allocated={self._allocated}, c={self._divisor}"
             )
         self._moved += words
-        if self.observer is not None:
-            self.observer.emit_charge("move", words, self.remaining)
         if tracer is not None:
             span.set(moved=self._moved)
             tracer.end(span)
@@ -227,14 +221,12 @@ class AbsoluteBudget:
     very first step, ``c = M / B`` is always a sound instantiation.
     """
 
-    def __init__(self, limit_words: int,
-                 observer: "EventBus | None" = None) -> None:
+    def __init__(self, limit_words: int) -> None:
         if limit_words < 0:
             raise ValueError("limit_words must be non-negative")
         self._limit = limit_words
         self._allocated = 0
         self._moved = 0
-        self.observer = observer
         #: Fine-grained span tracer (duck-typing CompactionBudget).
         self.tracer: "Tracer | None" = None
 
@@ -273,8 +265,6 @@ class AbsoluteBudget:
         if words <= 0:
             raise ValueError("allocation size must be positive")
         self._allocated += words
-        if self.observer is not None:
-            self.observer.emit_charge("alloc", words, self.remaining)
 
     def can_move(self, words: int) -> bool:
         """Whether a move of ``words`` fits under the absolute cap."""
@@ -296,8 +286,6 @@ class AbsoluteBudget:
                 f"moved={self._moved}, limit={self._limit}"
             )
         self._moved += words
-        if self.observer is not None:
-            self.observer.emit_charge("move", words, self.remaining)
         if tracer is not None:
             span.set(moved=self._moved)
             tracer.end(span)

@@ -11,11 +11,12 @@ time series <repro.obs.sampler>`, and it is persisted with a manifest
 as a :mod:`run directory <repro.obs.export>` that ``repro report``
 renders and ``repro check`` audits; the run's digest, its stored
 ``events.tape`` and the ``events.jsonl`` export all come from the tape.
-Event objects are built only for subscribers.
 
-Instrumentation is strictly opt-in: every hook in the driver, the budget
-ledger and the adversary programs is an ``EventBus | None`` defaulting
-to ``None``, and the ``None`` path costs one pointer comparison per
+One component writes the tape: the execution driver, which mediates
+every request, move and budget charge and records the stage boundaries
+programs announce through their view.  Instrumentation is strictly
+opt-in: the driver's bus is an ``EventBus | None`` defaulting to
+``None``, and the ``None`` path costs one pointer comparison per
 operation (``tools/check_overhead.py`` enforces the ceiling).
 
 Quickstart::
@@ -39,7 +40,6 @@ from .events import (
     BudgetCharge,
     CompactionWindow,
     EventBus,
-    EventSink,
     Free,
     Move,
     StageTransition,
@@ -78,7 +78,6 @@ from .telemetry import DEFAULT_SAMPLE_EVERY, Telemetry, run_recorded
 from .trace import (
     TRACE_FILENAME,
     Span,
-    StageSpanSink,
     Tracer,
     active_tracer,
     read_trace,
@@ -94,7 +93,6 @@ __all__ = [
     "DEFAULT_SAMPLE_EVERY",
     "EVENTS_FILENAME",
     "EventBus",
-    "EventSink",
     "EventTape",
     "Free",
     "Gauge",
@@ -110,7 +108,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "SamplePoint",
     "Span",
-    "StageSpanSink",
     "StageTransition",
     "TRACE_FILENAME",
     "Telemetry",

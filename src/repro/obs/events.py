@@ -1,4 +1,4 @@
-"""Typed telemetry events and the fan-out :class:`EventBus`.
+"""Typed telemetry events and the recording :class:`EventBus`.
 
 The observability layer speaks one vocabulary: six event types covering
 everything that happens during an execution —
@@ -12,25 +12,27 @@ everything that happens during an execution —
 * :class:`BudgetCharge` — every ledger mutation, with the remaining
   budget after it.
 
-Events are mutable dataclasses whose ``seq`` field is stamped by the bus
-at emission, giving every subscriber a shared monotone clock regardless
-of which component produced the event.
+Each event's ``seq`` is its row index on the bus's tape, one monotone
+clock shared by every kind.
 
-**Record once; objects only for subscribers.** Instrumentation call
-sites hold an ``EventBus | None`` and emit through the bus's per-kind
-methods (:meth:`EventBus.emit_alloc` and siblings) behind one ``if bus
-is not None``.  The bus records every event as one row of its
-:class:`~repro.obs.tape.EventTape`, typed columns from which the run's
-canonical digest, its stored ``events.tape`` and its metrics are
-computed at run end.
-An event object is built only when someone subscribes: a bus without
-subscribers appends a row and nothing else, and an uninstrumented run
-pays one pointer comparison per operation.  The one online consumer
-that needs no objects, the heap sampler, rides the bus's *row clock*
-(:attr:`EventBus.on_row`): a callback run after every recorded row, on
-either path.  ``tools/check_overhead.py`` and
-``benchmarks/bench_sanitizer_overhead.py`` hold these paths to their
-throughput budgets.
+**One producer, one record.**  The
+:class:`~repro.adversary.driver.ExecutionDriver` is the only code that
+writes to a bus: it mediates every program request, every budgeted
+move and every phase the program announces through its view, and
+calls the bus's per-kind methods (:meth:`EventBus.emit_alloc` and
+siblings) behind one ``if bus is not None``.  Each call appends one
+row to the bus's :class:`~repro.obs.tape.EventTape`, typed columns from
+which the run's canonical digest, its stored ``events.tape`` and its
+metrics are computed at run end; no event object is built, and an
+uninstrumented run pays one pointer comparison per operation.  The one
+online consumer, the heap sampler, rides the bus's *row clock*
+(:attr:`EventBus.on_row`): a callback run after every recorded row.
+The dataclasses below are the events' definition (the tape derives its
+encoders from their fields) and the form :meth:`EventTape.events
+<repro.obs.tape.EventTape.events>` reads rows back into.
+``tools/check_overhead.py`` and
+``benchmarks/bench_sanitizer_overhead.py`` hold the recording path to
+its throughput budget.
 """
 
 from __future__ import annotations
@@ -47,21 +49,17 @@ __all__ = [
     "StageTransition",
     "BudgetCharge",
     "EventBus",
-    "EventSink",
     "event_from_dict",
 ]
-
-#: A subscriber: any callable taking one event.
-EventSink = Callable[["TelemetryEvent"], None]
 
 
 @dataclass
 class TelemetryEvent:
     """Base class for all telemetry events.
 
-    ``seq`` is the bus-wide emission index (stamped by
-    :meth:`EventBus.emit`; ``-1`` until then).  Subclasses set the
-    ``kind`` class attribute, which keys the JSONL encoding.
+    ``seq`` is the event's row index on its tape (``-1`` for an event
+    built outside one).  Subclasses set the ``kind`` class attribute,
+    which keys the JSONL encoding.
     """
 
     kind: ClassVar[str] = "event"
@@ -191,30 +189,27 @@ def event_from_dict(record: dict) -> TelemetryEvent:
 
 
 class EventBus:
-    """Records every event on its tape; fans events out to subscribers.
+    """Records every event of one run as a row of its tape.
 
     The bus owns the run's :class:`~repro.obs.tape.EventTape`: every
     event becomes one tape row, and the row index is the event's
-    ``seq``, so events from the driver, the budget ledger and the
-    adversary program interleave on one shared clock.  Producers call
-    the per-kind methods (:meth:`emit_alloc` and siblings).  With no
-    subscribers these append the row and build nothing; with
-    subscribers they build the dataclass and hand it to :meth:`emit`,
-    the one fan-out point.  Either way, :attr:`on_row` (when set) runs
-    once the row is recorded.
+    ``seq``, so the driver's requests, moves, ledger charges and the
+    program's stage announcements interleave on one shared clock.  The
+    driver calls the per-kind methods (:meth:`emit_alloc` and
+    siblings); each appends its row and then runs :attr:`on_row`, when
+    set.
     """
 
-    __slots__ = ("_sinks", "tape", "on_row")
+    __slots__ = ("tape", "on_row")
 
     def __init__(self) -> None:
         from .tape import EventTape  # the tape module imports the events
 
-        self._sinks: list[EventSink] = []
         #: Every event so far, one row each (see :mod:`repro.obs.tape`).
         self.tape = EventTape()
         #: The row clock: called with no arguments after every row the
-        #: bus records, before subscribers see the row's event (the
-        #: :class:`~repro.obs.sampler.HeapSampler` cadence), or None.
+        #: bus records (the :class:`~repro.obs.sampler.HeapSampler`
+        #: cadence), or None.
         self.on_row: Callable[[], None] | None = None
 
     @property
@@ -222,85 +217,44 @@ class EventBus:
         """Events recorded so far (the next event's ``seq``)."""
         return len(self.tape)
 
-    @property
-    def sink_count(self) -> int:
-        """Number of current subscribers."""
-        return len(self._sinks)
-
-    def subscribe(self, sink: EventSink) -> EventSink:
-        """Add a subscriber; returns it (handy for inline lambdas)."""
-        self._sinks.append(sink)
-        return sink
-
-    def unsubscribe(self, sink: EventSink) -> None:
-        """Remove a subscriber (raises ``ValueError`` if absent)."""
-        self._sinks.remove(sink)
-
-    def emit(self, event: TelemetryEvent) -> None:
-        """Stamp ``event.seq``, record its row and deliver it in order."""
-        event.seq = len(self.tape)
-        self.tape.record(event)
-        if self.on_row is not None:
-            self.on_row()
-        for sink in self._sinks:
-            sink(event)
-
-    # Per-kind producers: a tape row, plus an event object for subscribers.
+    # Per-kind producers: one tape row each, then the row clock.
 
     def emit_alloc(self, object_id: int, size: int, address: int,
                    latency_ns: int = 0) -> None:
-        """Emit an :class:`Alloc`."""
-        if self._sinks:
-            self.emit(Alloc(object_id, size, address, latency_ns))
-        else:
-            self.tape.append_alloc(object_id, size, address, latency_ns)
-            if self.on_row is not None:
-                self.on_row()
+        """Record an :class:`Alloc`."""
+        self.tape.append_alloc(object_id, size, address, latency_ns)
+        if self.on_row is not None:
+            self.on_row()
 
     def emit_free(self, object_id: int, size: int, address: int) -> None:
-        """Emit a :class:`Free`."""
-        if self._sinks:
-            self.emit(Free(object_id, size, address))
-        else:
-            self.tape.append_free(object_id, size, address)
-            if self.on_row is not None:
-                self.on_row()
+        """Record a :class:`Free`."""
+        self.tape.append_free(object_id, size, address)
+        if self.on_row is not None:
+            self.on_row()
 
     def emit_move(self, object_id: int, size: int, old_address: int,
                   new_address: int) -> None:
-        """Emit a :class:`Move`."""
-        if self._sinks:
-            self.emit(Move(object_id, size, old_address, new_address))
-        else:
-            self.tape.append_move(object_id, size, old_address, new_address)
-            if self.on_row is not None:
-                self.on_row()
+        """Record a :class:`Move`."""
+        self.tape.append_move(object_id, size, old_address, new_address)
+        if self.on_row is not None:
+            self.on_row()
 
     def emit_window(self, request_size: int, moves: int,
                     moved_words: int) -> None:
-        """Emit a :class:`CompactionWindow`."""
-        if self._sinks:
-            self.emit(CompactionWindow(request_size, moves, moved_words))
-        else:
-            self.tape.append_window(request_size, moves, moved_words)
-            if self.on_row is not None:
-                self.on_row()
+        """Record a :class:`CompactionWindow`."""
+        self.tape.append_window(request_size, moves, moved_words)
+        if self.on_row is not None:
+            self.on_row()
 
     def emit_stage(self, program: str, stage: str, step: int,
                    label: str = "") -> None:
-        """Emit a :class:`StageTransition`."""
-        if self._sinks:
-            self.emit(StageTransition(program, stage, step, label))
-        else:
-            self.tape.append_stage(program, stage, step, label)
-            if self.on_row is not None:
-                self.on_row()
+        """Record a :class:`StageTransition`."""
+        self.tape.append_stage(program, stage, step, label)
+        if self.on_row is not None:
+            self.on_row()
 
     def emit_charge(self, reason: str, words: int, remaining: float) -> None:
-        """Emit a :class:`BudgetCharge`."""
-        if self._sinks:
-            self.emit(BudgetCharge(reason, words, remaining))
-        else:
-            self.tape.append_charge(reason, words, remaining)
-            if self.on_row is not None:
-                self.on_row()
+        """Record a :class:`BudgetCharge`."""
+        self.tape.append_charge(reason, words, remaining)
+        if self.on_row is not None:
+            self.on_row()

@@ -7,12 +7,12 @@
 whenever it is read, and — once bound to a driver — a
 :class:`~repro.obs.sampler.HeapSampler` on the bus's row clock,
 producing the time series.  :func:`run_recorded` is the one-call path
-the CLI and the experiment grids use: build telemetry, instrument
-driver + program, run, persist a ``manifest.json`` / ``events.tape``
-pair.  Everything comes from the bus's event tape: the metrics are
-folded from its columns, the sampler counts its rows, and nothing
-buffers or re-hashes the stream, so a recorded run builds no event
-object unless someone subscribes.
+the CLI and the experiment grids use: build telemetry, instrument the
+driver, run, persist a ``manifest.json`` / ``events.tape``
+pair.  Everything comes from the bus's event tape, which the driver
+alone writes: the metrics are folded from its columns, the sampler
+counts its rows, and nothing buffers or re-hashes the stream, so a
+recorded run builds no event object.
 """
 
 from __future__ import annotations
@@ -48,8 +48,9 @@ class Telemetry:
     """Bus + metrics + (once bound) sampler, wired together.
 
     Create one per execution, pass ``telemetry.bus`` as the driver's
-    ``observer=`` and the program's ``bus=``, then call :meth:`bind`
-    with the driver so the sampler can snapshot its heap and budget.
+    ``observer=`` (the driver records every event, the program's stage
+    announcements included), then call :meth:`bind` with the driver so
+    the sampler can snapshot its heap and budget.
     """
 
     def __init__(self, *, sample_every: int = DEFAULT_SAMPLE_EVERY) -> None:
@@ -80,18 +81,6 @@ class Telemetry:
         ).attach(self.bus)
         driver.time_allocations = True
         return self
-
-    def instrument_program(self, program: "AdversaryProgram") -> None:
-        """Point the program's telemetry at this bus, if it has the hook.
-
-        Programs advertise the hook as a ``bus`` attribute
-        (:class:`~repro.adversary.pf_program.PFProgram` and
-        :class:`~repro.adversary.robson_program.RobsonProgram` emit
-        :class:`~repro.obs.events.StageTransition` through it); benign
-        workloads simply lack the attribute and stay uninstrumented.
-        """
-        if hasattr(program, "bus"):
-            program.bus = self.bus
 
     def samples_as_dicts(self) -> list[dict]:
         """The sampled series (empty before :meth:`bind` / any samples)."""
@@ -196,7 +185,6 @@ def run_recorded(
     trace_mark = live_tracer.mark() if live_tracer is not None else 0
 
     telemetry = Telemetry(sample_every=sample_every)
-    telemetry.instrument_program(program)
 
     driver = ExecutionDriver(
         params,

@@ -8,7 +8,7 @@ domain across ``fork`` ed worker processes on Linux), so nested timing
 scopes — a sweep containing tasks containing runs containing stages
 containing allocations — come out as a tree.
 
-Three cost tiers, mirroring the event bus's null-sink fast path:
+Three cost tiers, mirroring the driver's bus-less fast path:
 
 * **no tracer** (``tracer=None`` everywhere) — one pointer comparison
   per operation, nothing else;
@@ -45,14 +45,11 @@ import time
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Union
 
-from .events import StageTransition, TelemetryEvent
-
 __all__ = [
     "TRACE_FILENAME",
     "Span",
     "Tracer",
     "NULL_TRACER",
-    "StageSpanSink",
     "active_tracer",
     "write_trace",
     "read_trace",
@@ -243,8 +240,9 @@ class Tracer:
     def begin(self, name: str, **attrs: Any) -> Span | None:
         """Open a span imperatively (``None`` when disabled).
 
-        Pair with :meth:`end`; the event-driven call sites (stage
-        boundaries arriving on the bus) cannot use ``with`` blocks.
+        Pair with :meth:`end`; call sites whose scope has no lexical
+        block (a stage span runs from one announced boundary to the
+        next) cannot use ``with`` blocks.
         """
         if not self.enabled:
             return None
@@ -364,38 +362,6 @@ def active_tracer(tracer: "Tracer | None") -> "Tracer | None":
     if tracer is not None and tracer.enabled:
         return tracer
     return None
-
-
-class StageSpanSink:
-    """Bus subscriber turning :class:`StageTransition` events into spans.
-
-    The driver does not know the adversary's phase structure — programs
-    announce boundaries on the bus.  This sink opens a ``stage:<name>``
-    span at each transition and closes the previous one, giving the
-    trace Stage I / Stage II (and Robson round) attribution without the
-    programs knowing about tracers.  Digest-neutral: it only *listens*.
-    """
-
-    def __init__(self, tracer: Tracer) -> None:
-        self.tracer = tracer
-        self._open: Span | None = None
-
-    def __call__(self, event: TelemetryEvent) -> None:
-        """Deliver one event (the bus-subscriber interface)."""
-        if not isinstance(event, StageTransition):
-            return
-        if self._open is not None:
-            self.tracer.end(self._open)
-        self._open = self.tracer.begin(
-            f"stage:{event.stage}", program=event.program,
-            step=event.step, label=event.label,
-        )
-
-    def finish(self) -> None:
-        """Close the trailing stage span (call after the run returns)."""
-        if self._open is not None:
-            self.tracer.end(self._open)
-            self._open = None
 
 
 # Persistence ------------------------------------------------------------------

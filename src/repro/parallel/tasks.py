@@ -390,8 +390,7 @@ def run_task(task: SimTask, record_root: str | None = None,
 
     Every run gets its own :class:`~repro.obs.events.EventBus`, whose
     tape yields the canonical event digest whether or not the run is
-    archived; an unarchived run has no subscribers, so it builds no
-    event objects at all.  With ``record_root`` set, the run is
+    archived; no run builds event objects.  With ``record_root`` set, the run is
     additionally persisted as a standard ``repro check``-able run
     directory under ``<record_root>/<cache key>/`` (manifest.json +
     events.tape) plus a ``result.json`` the cache reads back — written
@@ -420,8 +419,6 @@ def run_task(task: SimTask, record_root: str | None = None,
 
     if record_root is None:
         bus = EventBus()
-        if hasattr(program, "bus"):
-            program.bus = bus
         result = run_execution(params, program, manager, observer=bus,
                                tracer=tracer, kernel=task.kernel)
         return _finish_task(task, result, bus.tape, tracer, task_span)

@@ -244,10 +244,13 @@ class StaticCheckConfig:
     #: Budget-critical directories (every module beneath them is a sink).
     float_sink_dirs: tuple[str, ...] = ("src/repro/exact",)
     #: Attribute names whose call marks a function as event-emitting:
-    #: the bus's fan-out point and its per-kind producers.
+    #: the bus's per-kind producers, which the execution driver calls;
+    #: ``stage``, the view call through which a program announces the
+    #: phases the driver records; and ``emit``, the generic form the
+    #: fixture corpus uses.
     emit_attr_names: tuple[str, ...] = (
         "emit", "emit_alloc", "emit_free", "emit_move", "emit_window",
-        "emit_stage", "emit_charge",
+        "emit_stage", "emit_charge", "stage",
     )
     #: Fully qualified digest helpers (callers become digest-relevant).
     #: Each name's last segment is also matched as an attribute call,

@@ -79,8 +79,8 @@ class CallGraph:
         """Every function from which some target is transitively callable.
 
         ``attr_targets`` matches unresolved attribute calls by name, so
-        ``self.bus.emit(...)`` marks its caller even though the bus's
-        class is unknown.
+        ``self.observer.emit_alloc(...)`` marks its caller even though
+        the bus's class is unknown.
         """
         relevant: set[str] = set()
         for caller, callees in self.edges.items():

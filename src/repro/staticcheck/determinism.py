@@ -4,9 +4,10 @@ The runtime determinism checker (``repro check --replay``) proves a
 *given* run was reproducible; this pass proves the *code* cannot emit a
 nondeterministic event stream in the first place.  "Digest-relevant"
 means: every function that can transitively reach an event emission
-(``EventBus.emit`` or a per-kind producer such as ``emit_alloc``) or
-one of the canonical digest helpers (:mod:`repro.check.determinism`,
-``EventTape.digest``).  Both are also matched by attribute name, so
+(a bus producer such as ``emit_alloc``, or ``view.stage``, a program's
+phase announcement, which the driver records) or one of the canonical
+digest helpers (:mod:`repro.check.determinism`, ``EventTape.digest``).
+Both are also matched by attribute name, so
 ``self.observer.emit_charge(...)`` and ``bus.tape.digest()`` count
 without knowing the receiver's class.  Reachability is computed over
 the whole-program call graph, so a nondeterministic helper three calls
@@ -222,8 +223,8 @@ def _dotted_name(node: ast.Attribute, module: ModuleInfo) -> str | None:
 
 @program_pass(
     "determinism",
-    "digest-relevant code (anything that can reach EventBus.emit or the "
-    "canonical digest) must be free of iteration-order, identity, "
+    "digest-relevant code (anything that can reach an event producer or "
+    "the canonical digest) must be free of iteration-order, identity, "
     "environment and wall-clock nondeterminism",
     rule_ids=("unordered-iteration", "id-ordering", "env-read", "time-read"),
 )

@@ -24,7 +24,7 @@ from repro.check import (
 )
 from repro.core.params import BoundParams
 from repro.mm.registry import create_manager
-from repro.obs.events import Alloc, EventBus
+from repro.obs.events import EventBus
 
 # Mirrors tests/check/conftest.py (test dirs are not packages, so the
 # constants cannot be imported from there).
@@ -42,8 +42,6 @@ def _sanitized_run(params, program, manager_name) -> None:
     sanitizer.attach_program(program)
     bus = EventBus()
     sanitizer.attach(bus)
-    if hasattr(program, "bus"):
-        program.bus = bus
     run_execution(params, program, manager, observer=bus)
     sanitizer.finish()  # raises InvariantViolationError if not clean
 
@@ -84,15 +82,12 @@ def test_same_seed_same_digest():
     streams = []
     for _ in range(2):
         bus = EventBus()
-        events = []
-        bus.subscribe(events.append)
         program = PFProgram(CHECK_PARAMS)
-        program.bus = bus
         run_execution(
             CHECK_PARAMS, program,
             create_manager(CHECK_MANAGER, CHECK_PARAMS), observer=bus,
         )
-        streams.append(event_stream_digest(events))
+        streams.append(event_stream_digest(bus.tape.events()))
     assert streams[0] == streams[1]
 
 
@@ -107,8 +102,8 @@ def test_experiment_grid_runs_sanitized():
 def test_sanitizer_raises_on_violation():
     bus = EventBus()
     sanitizer = Sanitizer(CheckContext()).attach(bus)
-    bus.emit(Alloc(object_id=0, size=16, address=0))
-    bus.emit(Alloc(object_id=1, size=16, address=8))  # overlap
+    bus.emit_alloc(object_id=0, size=16, address=0)
+    bus.emit_alloc(object_id=1, size=16, address=8)  # overlap
     with pytest.raises(InvariantViolationError) as excinfo:
         sanitizer.finish()
     assert any(v.rule == "overlap" for v in excinfo.value.violations)

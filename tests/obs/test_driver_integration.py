@@ -3,12 +3,15 @@
 import pytest
 
 from repro.adversary import PFProgram, RobsonProgram
-from repro.adversary.driver import ExecutionDriver
+from repro.adversary.catalog import make_program
+from repro.adversary.driver import ExecutionDriver, run_execution
 from repro.core.params import BoundParams
 from repro.mm import create_manager
+from repro.obs.events import EventBus
 from repro.obs.export import EVENTS_FILENAME, load_run
-from repro.obs.tape import EventTape
+from repro.obs.tape import STAGE, EventTape
 from repro.obs.telemetry import Telemetry, run_recorded
+from repro.parallel.tasks import SimTask, run_task
 
 
 @pytest.fixture
@@ -19,7 +22,6 @@ def params() -> BoundParams:
 def _instrumented_run(params, manager_name="sliding-compactor"):
     telemetry = Telemetry(sample_every=64)
     program = PFProgram(params)
-    telemetry.instrument_program(program)
     driver = ExecutionDriver(
         params,
         create_manager(manager_name, params),
@@ -71,7 +73,6 @@ class TestEventStreamMatchesResult:
         params = BoundParams(live_space=1024, max_object=32)
         telemetry = Telemetry()
         program = RobsonProgram(params)
-        telemetry.instrument_program(program)
         driver = ExecutionDriver(
             params, create_manager("first-fit", params),
             observer=telemetry.bus,
@@ -79,6 +80,23 @@ class TestEventStreamMatchesResult:
         telemetry.bind(driver)
         driver.run(program)
         assert telemetry.registry.counter("events.stage_transition").value >= 1
+
+
+class TestOneWiringPoint:
+    """A bus handed to the driver records the whole stream, stages too."""
+
+    @pytest.mark.parametrize("manager_name",
+                             ["first-fit", "sliding-compactor", "theorem2"])
+    @pytest.mark.parametrize("program_name", ["pf", "robson"])
+    def test_driver_bus_records_what_run_task_records(
+            self, params, program_name, manager_name):
+        bus = EventBus()
+        run_execution(params, make_program(program_name, params),
+                      create_manager(manager_name, params), observer=bus)
+        task = run_task(SimTask.build(params, manager_name, program_name))
+        assert bus.tape.counts()[STAGE] > 0
+        assert bus.tape.digest() == task.event_digest
+        assert len(bus.tape) == task.event_count
 
 
 class TestRunRecorded:

@@ -1,4 +1,4 @@
-"""Tests for the typed event vocabulary and the fan-out bus."""
+"""Tests for the typed event vocabulary and the recording bus."""
 
 import pytest
 
@@ -17,55 +17,13 @@ from repro.obs.events import (
 class TestEventBus:
     def test_emit_stamps_monotone_seq(self):
         bus = EventBus()
-        events = [Alloc(object_id=i, size=4, address=i * 4) for i in range(5)]
-        for event in events:
-            assert event.seq == -1
-            bus.emit(event)
+        for i in range(5):
+            bus.emit_alloc(object_id=i, size=4, address=i * 4)
+        events = bus.tape.events()
+        assert events == [Alloc(object_id=i, size=4, address=i * 4, seq=i)
+                          for i in range(5)]
         assert [event.seq for event in events] == [0, 1, 2, 3, 4]
         assert bus.event_count == 5
-
-    def test_fan_out_in_subscription_order(self):
-        bus = EventBus()
-        order = []
-        bus.subscribe(lambda event: order.append(("first", event.seq)))
-        bus.subscribe(lambda event: order.append(("second", event.seq)))
-        bus.emit(Free(object_id=1, size=8, address=0))
-        bus.emit(Free(object_id=2, size=8, address=8))
-        assert order == [
-            ("first", 0), ("second", 0),
-            ("first", 1), ("second", 1),
-        ]
-
-    def test_every_subscriber_sees_every_event(self):
-        bus = EventBus()
-        seen_a, seen_b = [], []
-        bus.subscribe(seen_a.append)
-        bus.subscribe(seen_b.append)
-        emitted = [
-            Alloc(object_id=1, size=4, address=0),
-            Move(object_id=1, size=4, old_address=0, new_address=8),
-            Free(object_id=1, size=4, address=8),
-        ]
-        for event in emitted:
-            bus.emit(event)
-        assert seen_a == emitted
-        assert seen_b == emitted
-
-    def test_unsubscribe(self):
-        bus = EventBus()
-        seen = []
-        sink = bus.subscribe(seen.append)
-        bus.emit(Alloc(object_id=1, size=4, address=0))
-        bus.unsubscribe(sink)
-        bus.emit(Alloc(object_id=2, size=4, address=4))
-        assert len(seen) == 1
-        assert bus.sink_count == 0
-        # the clock keeps running without subscribers
-        assert bus.event_count == 2
-
-    def test_unsubscribe_absent_raises(self):
-        with pytest.raises(ValueError):
-            EventBus().unsubscribe(lambda event: None)
 
 
 class TestEventEncoding:

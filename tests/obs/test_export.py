@@ -21,13 +21,17 @@ from repro.obs.export import (
 
 
 def _some_events():
-    """A bus that saw three events, and the events its subscriber got."""
+    """A bus that recorded three events, and those events."""
     bus = EventBus()
-    seen = []
-    bus.subscribe(seen.append)
-    bus.emit(Alloc(object_id=1, size=4, address=0, latency_ns=10))
-    bus.emit(StageTransition(program="p", stage="I", step=0, label="begin"))
-    bus.emit(Free(object_id=1, size=4, address=0))
+    bus.emit_alloc(object_id=1, size=4, address=0, latency_ns=10)
+    bus.emit_stage(program="p", stage="I", step=0, label="begin")
+    bus.emit_free(object_id=1, size=4, address=0)
+    seen = [
+        Alloc(object_id=1, size=4, address=0, latency_ns=10, seq=0),
+        StageTransition(program="p", stage="I", step=0, label="begin",
+                        seq=1),
+        Free(object_id=1, size=4, address=0, seq=2),
+    ]
     return bus, seen
 
 

@@ -1,10 +1,10 @@
 """Recorded runs from the tape: the sampler's row clock and folded metrics.
 
-The oracle is the per-event design these replaced: a sampler and a
-collector subscribed to the bus, handed one event object per event,
-the sampler walking every free gap for its snapshot.  Subscribing them
-puts the bus on its ``emit`` path; a second, unsubscribed run of the
-same execution covers the tape path.
+The oracle is the per-event design these replaced: a sampler called
+once per event, walking every free gap for its snapshot, and a
+collector handed one event object per event.  The oracle sampler is
+chained on the bus's row clock after the real one; the collector reads
+the finished run's events back from the tape.
 """
 
 import time
@@ -67,18 +67,24 @@ def walked_sample(heap, budget, seq, index):
 
 
 class EventSampler:
-    """Samples every ``every``-th event delivered to it."""
+    """Samples every ``every``-th row a bus records, chained on its clock."""
 
-    def __init__(self, heap, budget, every):
+    def __init__(self, heap, budget, every, bus):
         self.heap, self.budget, self.every = heap, budget, every
         self.seen = 0
         self.samples = []
+        self.bus = bus
+        self._next = bus.on_row
+        bus.on_row = self
 
-    def __call__(self, event):
+    def __call__(self):
+        if self._next is not None:
+            self._next()
         self.seen += 1
         if self.seen % self.every == 0:
+            seq = self.bus.event_count - 1
             self.samples.append(
-                walked_sample(self.heap, self.budget, event.seq, self.seen))
+                walked_sample(self.heap, self.budget, seq, self.seen))
 
 
 class EventCollector:
@@ -94,6 +100,12 @@ class EventCollector:
         registry.histogram("alloc.latency_ns", LATENCY_BUCKETS_NS)
         registry.histogram("compaction_window.moved_words", sizes)
         registry.gauge("budget.remaining_words")
+
+    def feed(self, events):
+        """Record ``events`` in order; returns self."""
+        for event in events:
+            self(event)
+        return self
 
     def __call__(self, event):
         registry = self.registry
@@ -113,21 +125,19 @@ class EventCollector:
 
 def instrumented_run(program_name, manager_name, every, *, oracle,
                      tracer=None):
-    """Run under ``Telemetry``; with ``oracle``, subscribe the old sinks."""
+    """Run under ``Telemetry``; with ``oracle``, the per-event sinks too."""
     telemetry = Telemetry(sample_every=every)
     program = make_program(program_name, PARAMS)
-    telemetry.instrument_program(program)
     driver = ExecutionDriver(PARAMS, create_manager(manager_name, PARAMS),
                              observer=telemetry.bus, tracer=tracer)
     telemetry.bind(driver)
-    sinks = None
-    if oracle:
-        sinks = (EventSampler(driver.heap, driver.budget, every),
-                 EventCollector())
-        for sink in sinks:
-            telemetry.bus.subscribe(sink)
+    sampler = (EventSampler(driver.heap, driver.budget, every, telemetry.bus)
+               if oracle else None)
     driver.run(program)
-    return telemetry, sinks
+    if sampler is None:
+        return telemetry, None
+    return telemetry, (sampler,
+                       EventCollector().feed(telemetry.bus.tape.events()))
 
 
 def without_latency(metrics):
@@ -148,7 +158,7 @@ class TestSameRunOracle:
         assert telemetry.samples_as_dicts() == sampler.samples
         assert telemetry.registry.as_dict() == collector.registry.as_dict()
 
-        # The same execution without subscribers: the tape path.
+        # The same execution with nothing chained on the clock.
         plain, _ = instrumented_run(program_name, manager_name, every,
                                     oracle=False)
         assert plain.samples_as_dicts() == sampler.samples
@@ -160,7 +170,7 @@ class TestSameRunOracle:
             "pf", "sliding-compactor", 97, oracle=True, tracer=Tracer())
         assert telemetry.samples_as_dicts() == sampler.samples
         assert telemetry.registry.as_dict() == collector.registry.as_dict()
-        # The stage-span sink alone keeps the bus on its emit path.
+        # The stage spans change nothing the sampler sees.
         plain, _ = instrumented_run("pf", "sliding-compactor", 97,
                                     oracle=False, tracer=Tracer())
         assert plain.samples_as_dicts() == sampler.samples
@@ -170,23 +180,25 @@ class TestSameRunOracle:
             "pf", "window-compactor", 256, oracle=True)
         first = telemetry.registry.as_dict()
         assert telemetry.registry.as_dict() == first
-        telemetry.bus.emit_alloc(10**6, 8, 10**6, 300)  # the collector too
+        telemetry.bus.emit_alloc(10**6, 8, 10**6, 300)
+        collector.feed(telemetry.bus.tape.events()[-1:])
         assert telemetry.registry.as_dict() == collector.registry.as_dict()
         assert telemetry.registry.as_dict() != first
 
 
 class TestRowClock:
     def test_ticks_on_emit_and_tape_paths_alike(self):
+        """Every ``emit_*`` producer ticks, whatever row it writes."""
         bus = EventBus()
         sampler = HeapSampler(SimHeap(), every=2).attach(bus)
+        bus.emit_alloc(0, 1, 0)
         bus.emit_free(0, 1, 0)
-        seen = bus.subscribe(lambda event: None)
-        bus.emit_free(1, 1, 1)
-        bus.emit(Free(2, 1, 2))
-        bus.unsubscribe(seen)
+        bus.emit_move(1, 1, 1, 2)
+        bus.emit_window(1, 1, 1)
+        bus.emit_stage("p", "I", 0)
         bus.emit_charge("alloc", 1, 0.5)
-        assert sampler.events_seen == 4
-        assert [point.seq for point in sampler.samples] == [1, 3]
+        assert sampler.events_seen == 6
+        assert [point.seq for point in sampler.samples] == [1, 3, 5]
 
     def test_one_clock_per_bus(self):
         bus = EventBus()
@@ -196,14 +208,17 @@ class TestRowClock:
 
 
 class TestRecordedRunCosts:
-    def test_recorded_run_builds_no_event_objects(self, tmp_path):
+    @pytest.mark.parametrize("tracer", [None, Tracer()],
+                             ids=["untraced", "traced"])
+    def test_recorded_run_builds_no_event_objects(self, tmp_path, tracer):
         refuse = mock.Mock(side_effect=AssertionError("event object built"))
         with ExitStack() as stack:
             for cls in EVENT_TYPES:
                 stack.enter_context(mock.patch.object(cls, "__init__", refuse))
             result = run_recorded(
                 PARAMS, make_program("pf", PARAMS),
-                create_manager("window-compactor", PARAMS), tmp_path / "run")
+                create_manager("window-compactor", PARAMS), tmp_path / "run",
+                tracer=tracer)
         refuse.assert_not_called()
         manifest = load_manifest(tmp_path / "run")
         assert manifest["samples"]

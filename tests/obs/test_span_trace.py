@@ -8,10 +8,13 @@ import threading
 import pytest
 
 from repro.adversary import PFProgram
+from repro.adversary.catalog import make_program
 from repro.adversary.driver import ExecutionDriver
 from repro.core.params import BoundParams
 from repro.mm import create_manager
-from repro.obs.export import load_manifest
+from repro.obs.events import EventBus, StageTransition
+from repro.obs.export import EVENTS_FILENAME, load_manifest
+from repro.obs.tape import EventTape
 from repro.obs.profile import aggregate_spans, lane_wall_ns, render_top
 from repro.obs.telemetry import run_recorded
 from repro.obs.trace import (
@@ -31,6 +34,15 @@ from repro.obs.trace import (
 def params() -> BoundParams:
     return BoundParams(live_space=2048, max_object=64,
                        compaction_divisor=20.0)
+
+
+def stage_rows(tape):
+    """``(span name, attrs)`` each stage row of ``tape`` asks for, in order."""
+    return [(f"stage:{event.stage}", {"program": event.program,
+                                      "step": event.step,
+                                      "label": event.label})
+            for event in tape.events()
+            if isinstance(event, StageTransition)]
 
 
 class TestTracerCore:
@@ -242,8 +254,55 @@ class TestDriverIntegration:
         # its total because alloc/free/move nest inside it.
         assert stats["run"].self_ns < stats["run"].total_ns
         assert lane_wall_ns(tracer.spans)[MAIN_LANE] > 0
-        table = render_top(tracer.spans, limit=5)
+        table = render_top(tracer.spans, limit=len(stats))
         assert "run" in table
+
+    @pytest.mark.parametrize("with_bus", [True, False],
+                             ids=["bus", "no-bus"])
+    @pytest.mark.parametrize("program_name", ["pf", "robson"])
+    def test_one_stage_span_per_stage_row(self, params, program_name,
+                                          with_bus):
+        # The rows come from a bus run: a bus-less run has no tape.
+        reference = EventBus()
+        ExecutionDriver(params, create_manager("sliding-compactor", params),
+                        observer=reference).run(
+            make_program(program_name, params))
+        rows = stage_rows(reference.tape)
+        assert rows
+
+        tracer = Tracer()
+        bus = EventBus() if with_bus else None
+        ExecutionDriver(params, create_manager("sliding-compactor", params),
+                        observer=bus, tracer=tracer).run(
+            make_program(program_name, params))
+        if bus is not None:
+            assert stage_rows(bus.tape) == rows
+        # Every span closed when run() returned.
+        assert tracer.current is None
+        assert all(span.end_ns > 0 for span in tracer.spans)
+        (run_span,) = [span for span in tracer.spans if span.name == "run"]
+        stages = sorted((span for span in tracer.spans
+                         if span.name.startswith("stage:")),
+                        key=lambda span: span.span_id)
+        assert [(span.name, span.attrs) for span in stages] == rows
+        assert all(span.parent_id == run_span.span_id for span in stages)
+
+    @pytest.mark.parametrize("program_name", ["pf", "robson"])
+    def test_recorded_profile_lists_the_stage_spans(self, params,
+                                                    program_name, tmp_path):
+        tracer = Tracer()
+        run_recorded(params, make_program(program_name, params),
+                     create_manager("sliding-compactor", params), tmp_path,
+                     tracer=tracer)
+        rows = stage_rows(EventTape.read(tmp_path / EVENTS_FILENAME))
+        stages = sorted((span for span in tracer.spans
+                         if span.name.startswith("stage:")),
+                        key=lambda span: span.span_id)
+        phases = [phase for phase in load_manifest(tmp_path)["profile"]["phases"]
+                  if phase["name"].startswith("stage:")]
+        assert rows
+        assert [(span.name, span.attrs) for span in stages] == rows
+        assert [(phase["name"], phase["attrs"]) for phase in phases] == rows
 
 
 class TestDigestNeutrality:

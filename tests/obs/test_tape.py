@@ -20,7 +20,15 @@ from repro.check.determinism import (
 )
 from repro.core.params import BoundParams
 from repro.mm import create_manager
-from repro.obs.events import Alloc, EventBus, Free
+from repro.obs.events import (
+    Alloc,
+    BudgetCharge,
+    CompactionWindow,
+    EventBus,
+    Free,
+    Move,
+    StageTransition,
+)
 from repro.obs.export import EVENTS_FILENAME, read_tape, write_events
 from repro.obs.tape import EventTape
 from repro.obs.telemetry import run_recorded
@@ -51,15 +59,63 @@ _CALLS = st.one_of(
 )
 
 
-def _replay(calls, *, subscribed: bool):
-    """A bus fed ``calls``; with ``subscribed`` also the events built."""
+#: The event each producer call stands for.
+_EVENT_OF = {
+    "emit_alloc": Alloc,
+    "emit_free": Free,
+    "emit_move": Move,
+    "emit_window": CompactionWindow,
+    "emit_stage": StageTransition,
+    "emit_charge": BudgetCharge,
+}
+
+
+#: The event class of each tape kind code.
+_EVENT_OF_CODE = {
+    tape_module.ALLOC: Alloc,
+    tape_module.FREE: Free,
+    tape_module.MOVE: Move,
+    tape_module.WINDOW: CompactionWindow,
+    tape_module.STAGE: StageTransition,
+    tape_module.CHARGE: BudgetCharge,
+}
+
+
+def _replay(calls):
+    """A bus fed ``calls``, and the events those calls stand for."""
     bus = EventBus()
-    seen = []
-    if subscribed:
-        bus.subscribe(seen.append)
     for method, args in calls:
         getattr(bus, method)(*args)
-    return bus, seen
+    expected = [_EVENT_OF[method](*args, seq=seq)
+                for seq, (method, args) in enumerate(calls)]
+    return bus, expected
+
+
+class RowSink:
+    """Reads each row back as an event object the moment the bus records it.
+
+    Chained on the bus's row clock after whatever was there; the new
+    row's kind is the one whose row count grew.
+    """
+
+    def __init__(self, bus):
+        self.bus = bus
+        self.seen = []
+        self._counts = bus.tape.counts()
+        self._next = bus.on_row
+        bus.on_row = self
+
+    def __call__(self):
+        if self._next is not None:
+            self._next()
+        counts = self.bus.tape.counts()
+        code = next(code for code, (now, before)
+                    in enumerate(zip(counts, self._counts)) if now != before)
+        self._counts = counts
+        fields = [next(iter(column))
+                  for column in self.bus.tape.columns(code, counts[code] - 1)]
+        self.seen.append(_EVENT_OF_CODE[code](
+            *fields, seq=self.bus.event_count - 1))
 
 
 def _slow_digest(events) -> str:
@@ -76,18 +132,13 @@ class TestDifferential:
     def test_digest_and_jsonl_match_the_defining_encoders(
             self, tmp_path_factory, calls, block_rows):
         with mock.patch.object(tape_module, "BLOCK_ROWS", block_rows):
-            bare, _ = _replay(calls, subscribed=False)
-            bus, seen = _replay(calls, subscribed=True)
-            assert [event.seq for event in seen] == list(range(len(calls)))
-            assert len(bare.tape) == len(bus.tape) == len(calls)
-            expected = _slow_digest(seen)
-            assert bare.tape.digest() == expected
-            assert bus.tape.digest() == expected
+            bus, seen = _replay(calls)
+            assert len(bus.tape) == len(calls)
+            assert bus.tape.digest() == _slow_digest(seen)
             directory = tmp_path_factory.mktemp("jsonl")
             reference = write_events(directory / "objects.jsonl", seen)
-            for tape in (bare.tape, bus.tape):
-                written = tape.write_jsonl(directory / "tape.jsonl")
-                assert written.read_bytes() == reference.read_bytes()
+            written = bus.tape.write_jsonl(directory / "tape.jsonl")
+            assert written.read_bytes() == reference.read_bytes()
 
     def test_many_blocks_of_mixed_kinds(self, tmp_path):
         rng = random.Random(7)
@@ -108,7 +159,7 @@ class TestDifferential:
                 calls.append(("emit_stage", ("p", "II", index, "")))
             else:
                 calls.append(("emit_charge", ("alloc", 8, rng.random() * 100)))
-        bus, seen = _replay(calls, subscribed=True)
+        bus, seen = _replay(calls)
         assert bus.tape.digest() == event_stream_digest(seen)
         written = bus.tape.write_jsonl(tmp_path / "tape.jsonl")
         reference = write_events(tmp_path / "objects.jsonl", seen)
@@ -120,7 +171,7 @@ class TestStoredForm:
     @given(calls=st.lists(_CALLS, max_size=40))
     def test_file_and_jsonl_round_trips_keep_every_row(
             self, tmp_path_factory, calls):
-        tape = _replay(calls, subscribed=False)[0].tape
+        tape = _replay(calls)[0].tape
         directory = tmp_path_factory.mktemp("stored")
         jsonl = tape.write_jsonl(directory / "events.jsonl")
         stored = EventTape.read(tape.write(directory / "events.tape"))
@@ -222,7 +273,6 @@ class TestBusProducers:
                              compaction_divisor=20.0)
         bus = EventBus()
         program = PFProgram(params)
-        program.bus = bus
         refuse = mock.Mock(side_effect=AssertionError("event object built"))
         with mock.patch.multiple(
                 events_module, Alloc=refuse, Free=refuse, Move=refuse,
@@ -239,12 +289,13 @@ class TestBusProducers:
     def test_recorded_run_tape_matches_what_sinks_saw(self, tmp_path):
         params = BoundParams(live_space=2048, max_object=64,
                              compaction_divisor=20.0)
-        seen = []
+        sinks = []
         target = tmp_path / "run"
         run_recorded(params, PFProgram(params),
                      create_manager("window-compactor", params), target,
-                     on_driver=lambda driver: driver.observer.subscribe(
-                         seen.append))
+                     on_driver=lambda driver: sinks.append(
+                         RowSink(driver.observer)))
+        seen = sinks[0].seen
         assert [event.seq for event in seen] == list(range(len(seen)))
         assert any(event.kind == "alloc" and event.latency_ns > 0
                    for event in seen)

@@ -2,9 +2,9 @@
 """Telemetry and sanitizer overhead smoke check.
 
 Runs the same P_F execution five ways — uninstrumented (``observer=None``
-everywhere), with an :class:`repro.obs.events.EventBus` attached but
-*zero* subscribers (the bus records one tape row per event and builds no
-event objects), with a *disabled* :class:`repro.obs.trace.Tracer`
+everywhere), with a bare :class:`repro.obs.events.EventBus` as the
+driver's observer (the driver records one tape row per event and builds
+no event objects), with a *disabled* :class:`repro.obs.trace.Tracer`
 passed to the driver (collapses to the no-tracer fast path: one pointer
 comparison per operation), with a full
 :class:`repro.obs.telemetry.Telemetry` attached (what a recorded run
@@ -13,8 +13,8 @@ allocations, and one read of ``telemetry.registry``, which folds the
 metrics from the tape's columns; no event object is built), and with
 the :class:`repro.check.Sanitizer` attached to the instrumented bus
 (its checkers make one pass each over the bus's tape at ``finish()``,
-which is timed with the run; it subscribes nothing) — and fails if
-the subscriber-free bus is more than
+which is timed with the run) — and fails if
+the bare bus is more than
 ``--no-sink-threshold`` (default 1.5) times slower, the disabled tracer
 more than ``--no-trace-threshold`` (default 1.5, target ~1.05) times
 slower, instrumentation more than ``--threshold`` (default 2.0) times
@@ -170,10 +170,8 @@ def _run_baseline() -> float:
 def _run_no_sink() -> float:
     from repro.obs.events import EventBus
 
-    bus = EventBus()  # attached but zero subscribers: tape rows only
+    bus = EventBus()  # tape rows only: no sampler, no metrics
     program = PFProgram(PARAMS)
-    if hasattr(program, "bus"):
-        program.bus = bus
     driver = ExecutionDriver(
         PARAMS, create_manager(MANAGER, PARAMS), observer=bus
     )
@@ -201,7 +199,6 @@ def _run_trace_disabled() -> float:
 def _run_instrumented() -> float:
     telemetry = Telemetry()
     program = PFProgram(PARAMS)
-    telemetry.instrument_program(program)
     driver = ExecutionDriver(
         PARAMS, create_manager(MANAGER, PARAMS), observer=telemetry.bus
     )
@@ -215,7 +212,6 @@ def _run_instrumented() -> float:
 def _run_sanitized() -> float:
     telemetry = Telemetry()
     program = PFProgram(PARAMS)
-    telemetry.instrument_program(program)
     sanitizer = Sanitizer(CheckContext.from_params(
         PARAMS, program=program.name, manager=MANAGER,
     ))
@@ -239,7 +235,7 @@ def measure(repeats: int = 3, *, sanitize: bool = False,
     ``sanitize=False`` (the default) measures baseline vs instrumented
     only, preserving the historical interface; ``sanitize=True`` adds
     the checker-loaded variant as ``sanitized_s``; ``no_sink=True``
-    adds the subscriber-free-bus variant as ``no_sink_s``;
+    adds the bare-bus variant as ``no_sink_s``;
     ``trace_disabled=True`` adds the disabled-tracer variant as
     ``trace_disabled_s``.
     """
@@ -267,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sanitize-threshold", type=float, default=6.0,
                         help="maximum tolerated sanitized/baseline ratio")
     parser.add_argument("--no-sink-threshold", type=float, default=1.5,
-                        help="maximum tolerated subscriber-free-bus/"
+                        help="maximum tolerated bare-bus/"
                              "baseline ratio (target is ~1.05)")
     parser.add_argument("--no-trace-threshold", type=float, default=1.5,
                         help="maximum tolerated disabled-tracer/baseline "
@@ -314,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
         failed = True
     no_sink_ratio = report.no_sink_ratio
     if no_sink_ratio is not None and no_sink_ratio > args.no_sink_threshold:
-        print("FAIL: subscriber-free bus exceeds the overhead budget",
+        print("FAIL: bare bus exceeds the overhead budget",
               file=sys.stderr)
         failed = True
     trace_ratio = report.trace_disabled_ratio

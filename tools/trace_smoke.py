@@ -10,7 +10,10 @@ then validates the exported ``trace_event`` JSON end to end:
   (every worker process got its own track);
 * every executed task contributed a ``task:`` span, and no lane's busy
   time exceeds the ``engine.run`` wall time (the accounting identity
-  that catches clock-domain mixups between forked workers).
+  that catches clock-domain mixups between forked workers);
+* every ``task:`` span holds at least one ``stage:I`` and one
+  ``stage:II`` span on its lane, inside its time window (the P_F
+  program's phases reach the trace from inside each worker).
 
 Usage::
 
@@ -31,6 +34,10 @@ from repro.cli import main as repro_main
 #: Grid kept tiny: 2 divisors x 2 managers = 4 tasks, seconds of work.
 GRID = "5.0,10.0"
 MANAGERS = "first-fit,sliding-compactor"
+#: Stage spans every P_F task must hold.
+STAGES = ("stage:I", "stage:II")
+#: Slack for the microsecond floats of nested spans' bounds.
+EPSILON_US = 1e-3
 
 
 def _fail(message: str) -> int:
@@ -78,6 +85,17 @@ def validate_trace(path: Path, jobs: int) -> int:
         if busy_us > wall_us * 1.2:  # lint: float-ok
             return _fail(f"lane {lane} busy {busy_us:.0f}us exceeds "
                          f"engine wall {wall_us:.0f}us")
+
+    for task in task_spans:
+        start, end = task["ts"], task["ts"] + task["dur"]
+        inside = {e["name"] for e in durations
+                  if e["pid"] == task["pid"] and e["name"] in STAGES
+                  and e["ts"] >= start - EPSILON_US
+                  and e["ts"] + e["dur"] <= end + EPSILON_US}
+        missing = [name for name in STAGES if name not in inside]
+        if missing:
+            return _fail(f"{task['name']!r} on lane {task['pid']} holds no "
+                         f"{' or '.join(missing)} span")
 
     print(f"OK: {len(durations)} spans, {len(worker_lanes)} worker lanes, "
           f"{len(task_spans)} tasks, engine wall {wall_us / 1e3:.1f} ms "  # lint: float-ok
